@@ -8,8 +8,7 @@
 // sweep speedup at 10k flows.  Exits non-zero when equality or a floor
 // fails, so scripts/ci.sh can use it as the perf tier.
 //
-// Usage: bench_fluid_alloc [--out PATH] [--threads N]
-//   (default: BENCH_fluid.json, serial)
+// Usage: bench_fluid_alloc [--out PATH]   (default: BENCH_fluid.json)
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "net/fluid.h"
@@ -245,20 +243,11 @@ int main(int argc, char** argv) {
   // appends; nothing triggers a dump.  The ObsScope destructor uninstalls.
   if (obs.flight() != nullptr) obs::set_flight_recorder(obs.flight());
   std::string out_path = "BENCH_fluid.json";
-  unsigned threads = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::string{argv[i]} == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (std::string{argv[i]} == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::stoul(argv[++i]));
     }
   }
-  // --threads N runs the allocator's ParallelFor pilot kernels forked; the
-  // bit-identical and speedup-floor gates below must hold unchanged, which
-  // is exactly the determinism contract the parallel path promises.  The
-  // workers/grain pairing is the shared bench knob (bench::threads_config),
-  // not a per-call-site hard-code.
-  sim::set_simulation_config(bench::threads_config(threads));
 
   bench::heading(
       "Fluid allocator at scale: incidence index vs. naive reference");

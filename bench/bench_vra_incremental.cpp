@@ -13,16 +13,12 @@
 //
 // Exits non-zero when parity or the 5x floor fails, so the harness can use
 // it as a regression gate.
-//
-// Usage: bench_vra_incremental [--threads N]   (default: serial)
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "vra/vra.h"
@@ -244,19 +240,7 @@ int run_scaled() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  unsigned threads = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string{argv[i]} == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::stoul(argv[++i]));
-    }
-  }
-  // --threads N forks the per-candidate path evaluation; decision parity
-  // and the 5x cache floor must hold unchanged.  The workers/grain pairing
-  // comes from the shared bench knob (bench::threads_config), not a
-  // per-call-site hard-code.
-  vod::sim::set_simulation_config(vod::bench::threads_config(threads));
-
+int main() {
   bench::heading("Incremental LVN engine: cached vs. cold-rebuild VRA");
 
   bool ok = true;

@@ -17,10 +17,11 @@ fi
 
 echo "== vodlint =="
 python3 tools/vodlint/vodlint.py --self-test
-# The race-surface rules (v2) scan the bench/example/tool sources too:
-# anything the parallel migration could touch.  The report lands in build/
-# for EXPERIMENTS.md-style baseline counts; fixture files are excluded from
-# the walk and exercised by their own --expect ctest entries.
+# The whole-tree scan covers the bench/example/tool sources too, so the
+# replay rules ([shared-mutable-global], [raw-thread]) hold everywhere.  The
+# report lands in build/ for EXPERIMENTS.md-style baseline counts; fixture
+# files are excluded from the walk and exercised by their own --expect
+# ctest entries.
 mkdir -p build
 python3 tools/vodlint/vodlint.py --root . \
   --report build/vodlint_report.json src bench examples tools

@@ -146,25 +146,6 @@ class SlotMap {
     }
   }
 
-  /// Position-indexed window access for chunked parallel sweeps: offsets
-  /// [0, window_span()) cover the live ids in ascending order, holes
-  /// (retired ids) returning nullptr.  Splitting the offset range into
-  /// contiguous chunks therefore preserves ascending-id order within and
-  /// across chunks — the order for_each_ordered walks.  The map must not be
-  /// mutated while offsets are outstanding.
-  [[nodiscard]] T* at_offset(std::size_t offset, Id& id_out) {
-    const std::uint32_t slot = window_[head_ + offset];
-    if (slot == kNpos) return nullptr;
-    id_out = slots_[slot].id;
-    return &*slots_[slot].value;
-  }
-  [[nodiscard]] const T* at_offset(std::size_t offset, Id& id_out) const {
-    const std::uint32_t slot = window_[head_ + offset];
-    if (slot == kNpos) return nullptr;
-    id_out = slots_[slot].id;
-    return &*slots_[slot].value;
-  }
-
   /// Dense slot index of a present id — stable for the entry's lifetime,
   /// so side indexes (the fluid incidence lists) can store it instead of a
   /// pointer.  Throws std::out_of_range if absent.

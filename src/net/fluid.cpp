@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/contract.h"
-#include "common/parallel.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 
@@ -189,12 +188,6 @@ void FluidNetwork::set_link_up(LinkId link, bool up) {
   if (!deferred) commit_mutation();
 }
 
-bool FluidNetwork::link_up(LinkId link) const {
-  require_found(topology_.has_link(link),
-      "FluidNetwork::link_up: unknown link");
-  return link.value() >= link_down_.size() || !link_down_[link.value()];
-}
-
 std::vector<LinkId> FluidNetwork::down_links() const {
   std::vector<LinkId> down;
   for (std::size_t i = 0; i < link_down_.size(); ++i) {
@@ -274,18 +267,13 @@ void FluidNetwork::reallocate() {
   // unweighted filler.
   std::vector<std::uint64_t>& weight_on = scratch_weight_on_;
   weight_on.resize(link_count);
-  // Each chunk owns a contiguous link range and writes only weight_on[l]
-  // for its own links; flow weights are read-only here.
-  // vodlint: parallel-region
-  parallel_for(link_count, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t l = begin; l < end; ++l) {
-      std::uint64_t sum = 0;
-      for (const IndexEntry& entry : link_flows_[l]) {
-        sum += flows_.slot_value(entry.slot).weight;
-      }
-      weight_on[l] = sum;
+  for (std::size_t l = 0; l < link_count; ++l) {
+    std::uint64_t sum = 0;
+    for (const IndexEntry& entry : link_flows_[l]) {
+      sum += flows_.slot_value(entry.slot).weight;
     }
-  });
+    weight_on[l] = sum;
+  }
 
   // Flow-parallel arrays in flows_ (ascending id) order, so fills and cap
   // minima visit flows exactly as the reference does.
@@ -342,56 +330,31 @@ void FluidNetwork::reallocate() {
     ++rounds;
     // Largest per-weight-unit increment no constraint can absorb less of:
     // each unfrozen flow grows by delta x its weight, so a link drains at
-    // delta x (sum of unfrozen weights crossing it).  min over doubles is
-    // exact, so the chunked reductions below are bit-identical to the
-    // serial fold at every worker count.
-    // vodlint: parallel-region
-    double delta = parallel_min(
-        link_count, std::numeric_limits<double>::infinity(),
-        [&](std::size_t begin, std::size_t end, double acc) {
-          for (std::size_t l = begin; l < end; ++l) {
-            const std::uint64_t w = weight_on[l];
-            if (w > 0) {
-              acc = std::min(acc, residual[l] / static_cast<double>(w));
-            }
-          }
-          return acc;
-        });
-    // vodlint: parallel-region
-    delta = parallel_min(
-        unfrozen.size(), delta,
-        [&](std::size_t begin, std::size_t end, double acc) {
-          for (std::size_t k = begin; k < end; ++k) {
-            const std::size_t i = unfrozen[k];
-            acc = std::min(acc, (flow_of[i]->cap.value() - rate[i]) /
-                                    static_cast<double>(flow_of[i]->weight));
-          }
-          return acc;
-        });
+    // delta x (sum of unfrozen weights crossing it).
+    double delta = std::numeric_limits<double>::infinity();
+    for (std::size_t l = 0; l < link_count; ++l) {
+      const std::uint64_t w = weight_on[l];
+      if (w > 0) delta = std::min(delta, residual[l] / static_cast<double>(w));
+    }
+    for (const std::size_t i : unfrozen) {
+      delta = std::min(delta, (flow_of[i]->cap.value() - rate[i]) /
+                                  static_cast<double>(flow_of[i]->weight));
+    }
 
     if (delta > 0.0) {
-      // Chunk-owned element writes only: rate[i] per unfrozen flow,
-      // residual[l] per link.
-      // vodlint: parallel-region
-      parallel_for(unfrozen.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t k = begin; k < end; ++k) {
-          const std::size_t i = unfrozen[k];
-          rate[i] += delta * static_cast<double>(flow_of[i]->weight);
-        }
-      });
+      for (const std::size_t i : unfrozen) {
+        rate[i] += delta * static_cast<double>(flow_of[i]->weight);
+      }
       // Links with no unfrozen flows keep their residual bit-for-bit
       // (subtracting delta * 0 and re-clamping is the identity on the
       // non-negative values stored here), so they are skipped.
-      // vodlint: parallel-region
-      parallel_for(link_count, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t l = begin; l < end; ++l) {
-          const std::uint64_t w = weight_on[l];
-          if (w > 0) {
-            residual[l] -= delta * static_cast<double>(w);
-            residual[l] = std::max(residual[l], 0.0);
-          }
+      for (std::size_t l = 0; l < link_count; ++l) {
+        const std::uint64_t w = weight_on[l];
+        if (w > 0) {
+          residual[l] -= delta * static_cast<double>(w);
+          residual[l] = std::max(residual[l], 0.0);
         }
-      });
+      }
     }
 
     // Freeze flows at their cap, then everyone on exhausted links.  Rates
@@ -423,21 +386,16 @@ void FluidNetwork::reallocate() {
         unfrozen.end());
   }
 
-  // Final stamp: each chunk writes only its own flows' rates; link_up reads
-  // the immutable-during-solve link_down_ vector.
-  // vodlint: parallel-region
-  parallel_for(flow_count, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      // Flows crossing a down link are truly stuck (rate 0); everyone else
-      // gets at least the trickle floor.
-      bool severed = false;
-      for (const LinkId link : flow_of[i]->links) {
-        if (!link_up(link)) severed = true;
-      }
-      flow_of[i]->rate = severed ? Mbps{0.0}
-                                 : std::max(Mbps{rate[i]}, kMinFlowRate);
+  // Final stamp.  Flows crossing a down link are truly stuck (rate 0);
+  // everyone else gets at least the trickle floor.
+  for (std::size_t i = 0; i < flow_count; ++i) {
+    bool severed = false;
+    for (const LinkId link : flow_of[i]->links) {
+      if (!link_up(link)) severed = true;
     }
-  });
+    flow_of[i]->rate = severed ? Mbps{0.0}
+                               : std::max(Mbps{rate[i]}, kMinFlowRate);
+  }
 
   if (obs::TraceRecorder* tr = obs::trace_sink()) {
     tr->instant(obs::Subsystem::kFluid, "fluid.realloc",

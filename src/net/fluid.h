@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/contract.h"
 #include "common/ids.h"
 #include "common/slot_map.h"
 #include "common/sim_time.h"
@@ -78,7 +79,11 @@ class FluidNetwork {
   /// down link drop to zero rate until it recovers; background traffic on
   /// it reads as zero.
   void set_link_up(LinkId link, bool up);
-  [[nodiscard]] bool link_up(LinkId link) const;
+  [[nodiscard]] bool link_up(LinkId link) const {
+    require_found(topology_.has_link(link),
+        "FluidNetwork::link_up: unknown link");
+    return link.value() >= link_down_.size() || !link_down_[link.value()];
+  }
 
   /// All currently-down links, ascending by id (fault tooling/report).
   [[nodiscard]] std::vector<LinkId> down_links() const;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/contract.h"
-#include "common/parallel.h"
 
 namespace vod::net {
 
@@ -88,38 +87,18 @@ Mbps TransferManager::current_rate(FlowId id) const {
 void TransferManager::settle_bytes(SimTime now) {
   const double elapsed = now - last_progress_;
   if (elapsed > 0.0 && !transfers_.empty()) {
-    // Parallel settle over the slot map's id window: each chunk owns a
-    // contiguous range of window positions, so it writes only its own
-    // transfers and crossing flags; flow rates are const lookups.  The
-    // per-transfer arithmetic is exactly the serial expression, and the
-    // crossing merge below runs in window (= ascending id) order, so
-    // drained_ fills identically at any worker count.
-    const std::size_t span = transfers_.window_span();
-    settle_crossed_.assign(span, 0);
-    // vodlint: parallel-region
-    parallel_for(span, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t pos = begin; pos < end; ++pos) {
-        FlowId id;
-        Transfer* transfer = transfers_.at_offset(pos, id);
-        if (transfer == nullptr) continue;
-        const double moved_mb =
-            network_.flow_rate(id).value() * elapsed / 8.0;
-        const double before = transfer->remaining.value();
-        transfer->remaining = MegaBytes{std::max(0.0, before - moved_mb)};
-        // Record the crossing once: remaining only ever decreases, so a
-        // transfer enters the candidate list exactly one time.
-        if (before > kDoneEpsilonMb &&
-            transfer->remaining.value() <= kDoneEpsilonMb) {
-          settle_crossed_[pos] = 1;
-        }
+    // Ascending-id walk, so drained_ fills in a deterministic order.
+    transfers_.for_each_ordered([&](FlowId id, Transfer& transfer) {
+      const double moved_mb = network_.flow_rate(id).value() * elapsed / 8.0;
+      const double before = transfer.remaining.value();
+      transfer.remaining = MegaBytes{std::max(0.0, before - moved_mb)};
+      // Record the crossing once: remaining only ever decreases, so a
+      // transfer enters the candidate list exactly one time.
+      if (before > kDoneEpsilonMb &&
+          transfer.remaining.value() <= kDoneEpsilonMb) {
+        drained_.push_back(id);
       }
     });
-    for (std::size_t pos = 0; pos < span; ++pos) {
-      if (settle_crossed_[pos] == 0) continue;
-      FlowId id;
-      (void)transfers_.at_offset(pos, id);
-      drained_.push_back(id);
-    }
   }
   last_progress_ = now;
 }
@@ -181,25 +160,12 @@ void TransferManager::reschedule(SimTime now) {
   }
   if (transfers_.empty()) return;
 
-  // Earliest-completion scan as a chunked min-reduction: min is exact on
-  // doubles, and the chunk-order merge reproduces the serial ordered walk
-  // bit-for-bit.  Reads only (rates, remaining); nothing is written.
-  // vodlint: parallel-region
-  double next = parallel_min(
-      transfers_.window_span(), std::numeric_limits<double>::infinity(),
-      [&](std::size_t begin, std::size_t end, double init) {
-        double m = init;
-        for (std::size_t pos = begin; pos < end; ++pos) {
-          FlowId id;
-          const Transfer* transfer =
-              std::as_const(transfers_).at_offset(pos, id);
-          if (transfer == nullptr) continue;
-          const double rate = network_.flow_rate(id).value();
-          m = std::min(m,
-                       now.seconds() + transfer->remaining.megabits() / rate);
-        }
-        return m;
-      });
+  double next = std::numeric_limits<double>::infinity();
+  transfers_.for_each_ordered([&](FlowId id, const Transfer& transfer) {
+    const double rate = network_.flow_rate(id).value();
+    next = std::min(next,
+                    now.seconds() + transfer.remaining.megabits() / rate);
+  });
   // Wake at background-traffic changes too, so rates stay faithful.
   next = std::min(next, network_.next_traffic_change(now).seconds());
 

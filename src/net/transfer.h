@@ -106,11 +106,6 @@ class TransferManager {
   /// drains this instead of rescanning every transfer per completion;
   /// entries cancelled in the meantime are skipped by a liveness check.
   std::vector<FlowId> drained_;
-  /// Per-window-position epsilon-crossing flags from the parallel settle
-  /// phase; the serial merge scans them in window (= ascending id) order so
-  /// drained_ fills exactly as the one-pass serial sweep did.  A member so
-  /// steady-state settles reuse the allocation.
-  std::vector<char> settle_crossed_;
   SimTime last_progress_{0.0};
   sim::EventHandle pending_;
   int busy_depth_ = 0;

@@ -13,7 +13,7 @@ namespace {
 
 // vodlint:allow(shared-mutable-global: flight recorder pointer follows the
 // same installer-owned lifecycle as the trace sink (DESIGN.md §16);
-// trigger sites only read it, outside parallel regions)
+// trigger sites only read it)
 FlightRecorder* g_flight = nullptr;
 
 std::string json_escape(const std::string& in) {

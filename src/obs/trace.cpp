@@ -12,8 +12,8 @@ namespace vod::obs {
 namespace {
 
 // vodlint:allow(shared-mutable-global: trace sink pointers are installed
-// before a run and cleared after; the simulation core only reads them, and
-// recorders are never installed around parallel regions (DESIGN.md §11))
+// before a run and cleared after; the simulation core only reads them
+// (DESIGN.md §11))
 TraceRecorder* g_sink = nullptr;  // effective sink read by call sites
 
 // vodlint:allow(shared-mutable-global: same installer-owned lifecycle as
@@ -73,13 +73,12 @@ std::string json_escape(const std::string& in) {
 
 /// A reused formatting stream: constructing an ostringstream per value
 /// (locale setup each time) dominates rendering cost at trace/flight event
-/// volume.  thread_local because instrumented sites run inside sharded
-/// epochs on worker threads.
+/// volume.
 std::ostringstream& scratch_stream() {
-  // vodlint:allow(shared-mutable-global: thread_local — every worker owns
-  // its own stream, nothing is shared; reuse only skips the per-value
-  // locale setup of a fresh ostringstream)
-  static thread_local std::ostringstream os;
+  // vodlint:allow(shared-mutable-global: a formatting buffer cleared on
+  // every use; reuse only skips the per-value locale setup of a fresh
+  // ostringstream)
+  static std::ostringstream os;
   os.str(std::string());
   return os;
 }

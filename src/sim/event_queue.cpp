@@ -1,6 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -10,33 +11,12 @@
 namespace vod::sim {
 
 EventHandle EventQueue::schedule(SimTime when, Callback callback) {
+  require(std::isfinite(when.seconds()),
+      "EventQueue::schedule: time must be finite");
   require(!(when < now_), "EventQueue::schedule: time is in the past");
   require(callback, "EventQueue::schedule: empty callback");
   const std::uint64_t sequence = next_sequence_++;
-  Entry entry;
-  entry.when = when;
-  entry.sequence = sequence;
-  entry.callback = std::move(callback);
-  heap_.push_back(std::move(entry));
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  pending_.insert(sequence);
-  return EventHandle{sequence};
-}
-
-EventHandle EventQueue::schedule_sharded(SimTime when, std::uint64_t affinity,
-                                         ShardHandler handler) {
-  require(!(when < now_),
-      "EventQueue::schedule_sharded: time is in the past");
-  require(handler, "EventQueue::schedule_sharded: empty handler");
-  require(affinity != kNoAffinity,
-      "EventQueue::schedule_sharded: reserved affinity key");
-  const std::uint64_t sequence = next_sequence_++;
-  Entry entry;
-  entry.when = when;
-  entry.sequence = sequence;
-  entry.affinity = affinity;
-  entry.sharded = std::move(handler);
-  heap_.push_back(std::move(entry));
+  heap_.push_back(Entry{when, sequence, std::move(callback)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   pending_.insert(sequence);
   return EventHandle{sequence};
@@ -47,11 +27,6 @@ bool EventQueue::cancel(EventHandle handle) {
   // already fired (or was cancelled before) is not pending and is
   // rejected, leaving the counters untouched.
   if (!handle.valid() || pending_.erase(handle.sequence_) == 0) return false;
-  // An event popped into the current epoch batch is no longer in the heap:
-  // dropping it from pending_ (and the popped set) is the whole cancel —
-  // take_epoch_event() will skip it.  Parking it in cancelled_ would leak,
-  // since no heap entry would ever match it.
-  if (epoch_popped_.erase(handle.sequence_) != 0) return true;
   cancelled_.insert(handle.sequence_);
   if (cancelled_.size() * 2 > heap_.size()) compact();
   return true;
@@ -90,48 +65,7 @@ bool EventQueue::run_next() {
   heap_.pop_back();
   pending_.erase(entry.sequence);
   now_ = entry.when;
-  if (entry.sharded) {
-    // Serial execution of a sharded event: handler, then its effects,
-    // immediately — what a one-shard one-worker epoch would do, so the two
-    // stepping modes agree byte-for-byte.
-    EffectBuffer buffer;
-    entry.sharded(now_, buffer);
-    buffer.run_all(now_);
-  } else {
-    entry.callback(now_);
-  }
-  return true;
-}
-
-std::size_t EventQueue::pop_epoch(std::vector<EpochEvent>& out) {
-  VOD_PROFILE_SCOPE("sim.pop_epoch");
-  out.clear();
-  drop_cancelled_head();
-  if (heap_.empty()) return 0;
-  const SimTime when = heap_.front().when;
-  now_ = when;
-  while (!heap_.empty() && heap_.front().when == when) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Entry entry = std::move(heap_.back());
-    heap_.pop_back();
-    // Cancelled entries behind the head still hide inside the instant.
-    if (cancelled_.erase(entry.sequence) != 0) continue;
-    epoch_popped_.insert(entry.sequence);
-    EpochEvent event;
-    event.sequence = entry.sequence;
-    event.affinity = entry.affinity;
-    event.callback = std::move(entry.callback);
-    event.sharded = std::move(entry.sharded);
-    out.push_back(std::move(event));
-  }
-  // Heap pops at one timestamp arrive in ascending sequence — scheduling
-  // order, the same order run_next() would have fired them.
-  return out.size();
-}
-
-bool EventQueue::take_epoch_event(std::uint64_t sequence) {
-  if (pending_.erase(sequence) == 0) return false;  // cancelled mid-epoch
-  epoch_popped_.erase(sequence);
+  entry.callback(now_);
   return true;
 }
 

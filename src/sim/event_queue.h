@@ -4,13 +4,6 @@
 // same-time events fire in scheduling order, which keeps the whole simulator
 // deterministic.  Events can be cancelled through the handle returned at
 // scheduling time.
-//
-// Two stepping modes share the heap: run_next() pops one event at a time
-// (the serial path every paper bench is frozen against), and pop_epoch()
-// pops the whole same-instant batch for the epoch-barrier core (sim/epoch.h)
-// — sharded events run a parallel phase there, while under run_next() they
-// execute inline with a local effect buffer, which is the same semantics at
-// width one.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +13,6 @@
 #include <vector>
 
 #include "common/sim_time.h"
-#include "sim/epoch.h"
 
 namespace vod::sim {
 
@@ -44,20 +36,10 @@ class EventHandle {
 class EventQueue {
  public:
   using Callback = std::function<void(SimTime)>;
-  using ShardHandler = std::function<void(SimTime, EffectBuffer&)>;
 
-  /// Schedules `callback` to fire at `when`.  Scheduling in the past (before
-  /// the last popped event) throws std::invalid_argument.
+  /// Schedules `callback` to fire at `when`.  A non-finite time, or one in
+  /// the past (before the last popped event), throws std::invalid_argument.
   EventHandle schedule(SimTime when, Callback callback);
-
-  /// Schedules a sharded event: under epoch-barrier stepping, `handler`
-  /// runs in the parallel phase of the `when` instant, partitioned by the
-  /// stable `affinity` key (session/server/link id), with writes confined
-  /// to the shard's EffectBuffer (contract in sim/epoch.h).  Under
-  /// run_next() it executes inline — handler, then its effects — which is
-  /// byte-identical to the epoch path at any width by construction.
-  EventHandle schedule_sharded(SimTime when, std::uint64_t affinity,
-                               ShardHandler handler);
 
   /// Cancels a pending event; returns false if it already fired, was
   /// already cancelled, or the handle is invalid.
@@ -69,18 +51,6 @@ class EventQueue {
   /// Pops and runs the earliest event; returns false when empty.
   /// Cancelled events are skipped silently.
   bool run_next();
-
-  /// Pops every pending event at the earliest timestamp into `out` in
-  /// scheduling order and advances now() to that instant WITHOUT running
-  /// anything — the epoch executor runs the batch.  Popped events stay
-  /// "pending" (cancellable) until take_epoch_event() consumes them.
-  /// Returns the batch size (0 when the queue is empty).
-  std::size_t pop_epoch(std::vector<EpochEvent>& out);
-
-  /// Consumes one popped-but-not-yet-run epoch event; returns false when it
-  /// was cancelled after the pop (the executor then skips it).  Only the
-  /// epoch executor calls this.
-  bool take_epoch_event(std::uint64_t sequence);
 
   [[nodiscard]] bool empty() const;
   [[nodiscard]] std::size_t pending_count() const;
@@ -96,9 +66,7 @@ class EventQueue {
   struct Entry {
     SimTime when;
     std::uint64_t sequence;
-    std::uint64_t affinity = kNoAffinity;
-    Callback callback;       // serial event (affinity == kNoAffinity)
-    ShardHandler sharded;    // sharded event otherwise
+    Callback callback;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -127,11 +95,6 @@ class EventQueue {
   /// is what distinguishes a cancellable event from one that already fired
   /// (both have sequence < next_sequence_).
   std::unordered_set<std::uint64_t> pending_;
-  /// Sequences popped by pop_epoch() and not yet consumed: they are out of
-  /// the heap but still pending, so cancel() must not park them in
-  /// cancelled_ (nothing in the heap would ever match and purge them).
-  /// Membership-only use; never iterated.
-  std::unordered_set<std::uint64_t> epoch_popped_;
   std::uint64_t next_sequence_ = 1;
   SimTime now_{0.0};
 };

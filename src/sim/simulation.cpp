@@ -1,5 +1,6 @@
 #include "sim/simulation.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -12,9 +13,8 @@ namespace {
 
 /// Series pump (DESIGN.md §16): takes every cadence tick up to the next
 /// instant BEFORE that instant executes, so a sample at tick T reflects
-/// exactly the events strictly before T regardless of stepping mode or
-/// worker width.  With no recorder installed this is the one load+branch
-/// the determinism contract allows.
+/// exactly the events strictly before T.  With no recorder installed this
+/// is the one load+branch the determinism contract allows.
 inline void pump_series(const EventQueue& queue) {
   if (obs::TimeSeriesRecorder* series = obs::series_sink()) {
     if (const auto next = queue.next_time()) series->on_instant(*next);
@@ -23,59 +23,23 @@ inline void pump_series(const EventQueue& queue) {
 
 }  // namespace
 
-namespace {
-
-// vodlint:allow(shared-mutable-global: the one stepping-config knob — installed from single-threaded orchestration only, same contract as the parallel runtime it configures)
-SimulationConfig& config_slot() {
-  // vodlint:allow(shared-mutable-global: single doorway, see above)
-  static SimulationConfig instance;
-  return instance;
-}
-
-}  // namespace
-
-void set_simulation_config(const SimulationConfig& config) {
-  config_slot() = config;
-  set_parallel_config(config.parallel);
-}
-
-const SimulationConfig& simulation_config() { return config_slot(); }
-
 std::size_t Simulation::run(std::size_t max_events) {
-  const SimulationConfig& config = simulation_config();
-  if (!config.epoch_barrier) {
-    std::size_t executed = 0;
-    while (executed < max_events) {
-      pump_series(queue_);
-      if (!queue_.run_next()) break;
-      ++executed;
-    }
-    return executed;
-  }
   std::size_t executed = 0;
   while (executed < max_events) {
     pump_series(queue_);
-    if (queue_.pop_epoch(epoch_batch_) == 0) break;
-    executed += executor_.run(queue_, queue_.now(), epoch_batch_,
-                              config.epoch_shards);
+    if (!queue_.run_next()) break;
+    ++executed;
   }
   return executed;
 }
 
 std::size_t Simulation::run_until(SimTime until) {
-  const SimulationConfig& config = simulation_config();
   std::size_t executed = 0;
   while (auto next = queue_.next_time()) {
     if (*next > until) break;
     pump_series(queue_);
-    if (config.epoch_barrier) {
-      if (queue_.pop_epoch(epoch_batch_) == 0) break;
-      executed += executor_.run(queue_, queue_.now(), epoch_batch_,
-                                config.epoch_shards);
-    } else {
-      queue_.run_next();
-      ++executed;
-    }
+    queue_.run_next();
+    ++executed;
   }
   // Advance the clock to `until` with a no-op event so `now()` reflects the
   // requested horizon even when the queue drained early.  The pump fires
@@ -91,7 +55,8 @@ std::size_t Simulation::run_until(SimTime until) {
 PeriodicTask::PeriodicTask(Simulation& sim, Duration period,
                            std::function<void(SimTime)> body)
     : sim_(sim), period_(period), body_(std::move(body)) {
-  require(!(period_.seconds() <= 0.0), "PeriodicTask: period must be positive");
+  require(std::isfinite(period_.seconds()) && period_.seconds() > 0.0,
+      "PeriodicTask: period must be positive and finite");
   require(body_, "PeriodicTask: empty body");
 }
 

@@ -7,44 +7,34 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <limits>
-#include <vector>
 
-#include "common/parallel.h"
 #include "common/sim_time.h"
-#include "sim/epoch.h"
 #include "sim/event_queue.h"
 
 namespace vod::sim {
 
-/// Process-wide stepping/parallelism configuration: the ONE knob set.
-/// Benches and tests build this (from --threads flags or fixtures) and hand
-/// it to set_simulation_config(), which installs `parallel` into the
-/// fork-join runtime — no call site hard-codes its own min_fork_items.
-/// The defaults reproduce the serial simulator byte-for-byte: workers 1,
-/// production grain, one-event-at-a-time stepping.
+/// The simulator steps serially, one event at a time, and has nothing to
+/// configure.  These names remain only because the frozen end-to-end
+/// benchmark (perfbench/vodbench.cpp) reads them to report its stepping;
+/// a later change to that benchmark retires them.  Every member is a
+/// constant.
 struct SimulationConfig {
-  ParallelConfig parallel{};
-  /// When true, Simulation::run/run_until step in epoch batches: all
-  /// same-instant events pop together, sharded events fan out over the
-  /// fixed shard partition, effects merge at the barrier (sim/epoch.h).
-  bool epoch_barrier = false;
-  /// Fixed shard count for the parallel phase — part of the *semantic*
-  /// configuration (the partition is affinity % epoch_shards), so it is
-  /// deliberately independent of `parallel.workers`: any width processes
-  /// the same shards in the same merge order.
-  std::size_t epoch_shards = 64;
+  struct Parallel {
+    static constexpr unsigned workers = 1;
+  };
+  static constexpr Parallel parallel{};
+  static constexpr bool epoch_barrier = false;
 };
 
-/// Installs the process-wide stepping config (and its ParallelConfig into
-/// the fork-join runtime).  Same contract as set_parallel_config: call only
-/// from single-threaded orchestration.  set_simulation_config({}) restores
-/// the serial defaults.
-void set_simulation_config(const SimulationConfig& config);
+/// Accepts and ignores a config: there is nothing to set.
+inline void set_simulation_config(const SimulationConfig& /*config*/) {}
 
-[[nodiscard]] const SimulationConfig& simulation_config();
+[[nodiscard]] inline const SimulationConfig& simulation_config() {
+  static constexpr SimulationConfig kConfig{};
+  return kConfig;
+}
 
 /// The top-level simulation context.  Components hold a reference to it and
 /// schedule their own events.
@@ -63,23 +53,9 @@ class Simulation {
     return queue_.schedule(when, std::move(callback));
   }
 
-  /// Sharded-event variants: `handler` runs in the parallel phase of its
-  /// instant under epoch-barrier stepping (serial-inline otherwise), with
-  /// writes confined to affinity-owned state and the shard's EffectBuffer.
-  EventHandle schedule_sharded_in(Duration delay, std::uint64_t affinity,
-                                  EventQueue::ShardHandler handler) {
-    return queue_.schedule_sharded(now() + delay, affinity,
-                                   std::move(handler));
-  }
-  EventHandle schedule_sharded_at(SimTime when, std::uint64_t affinity,
-                                  EventQueue::ShardHandler handler) {
-    return queue_.schedule_sharded(when, affinity, std::move(handler));
-  }
-
   /// Runs every pending event (including ones scheduled while running).
   /// Returns the number of events executed.  `max_events` guards against
-  /// runaway self-rescheduling loops; under epoch-barrier stepping it is
-  /// checked at instant boundaries (a whole epoch always completes).
+  /// runaway self-rescheduling loops.
   std::size_t run(std::size_t max_events =
                       std::numeric_limits<std::size_t>::max());
 
@@ -87,16 +63,8 @@ class Simulation {
   /// even if the queue drains earlier.
   std::size_t run_until(SimTime until);
 
-  /// Epoch-core observability (tests): batches and sharded events stepped
-  /// by this simulation so far.
-  [[nodiscard]] const EpochExecutor& epoch_executor() const {
-    return executor_;
-  }
-
  private:
   EventQueue queue_;
-  EpochExecutor executor_;
-  std::vector<EpochEvent> epoch_batch_;  // reused across epochs
 };
 
 /// A task that re-fires at a fixed period until stopped.  The callback runs
@@ -104,7 +72,7 @@ class Simulation {
 /// end of each interval).
 class PeriodicTask {
  public:
-  /// `body` receives the firing time; `period` must be positive.
+  /// `body` receives the firing time; `period` must be positive and finite.
   PeriodicTask(Simulation& sim, Duration period,
                std::function<void(SimTime)> body);
   ~PeriodicTask() { stop(); }

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/contract.h"
-#include "common/parallel.h"
 #include "obs/trace.h"
 
 namespace vod::snmp {
@@ -40,36 +39,15 @@ void SnmpModule::sample(SimTime now) {
                    topology.link_count()))}});
   }
   const std::vector<net::LinkInfo>& links = topology.links();
-  // Warm the network's per-instant background cache serially, in link
-  // order: the parallel phase below must only read it (the lazy fill is a
-  // mutable cache — the exact hazard common/parallel.h's contract names),
-  // and warming in link order keeps the traffic-query ledger identical to
-  // the one-pass serial sweep.
-  for (const net::LinkInfo& info : links) (void)network_.background(info.id);
-  sweep_scratch_.resize(links.size());
-  // Parallel phase: each chunk computes readings for its own links — one
-  // index walk per link; utilization derives from the same `used` figure
-  // (the exact arithmetic FluidNetwork::utilization performs) instead of
-  // re-summing the link's flows.  All inputs are const reads now that the
-  // background cache is warm.
-  // vodlint: parallel-region
-  parallel_for(links.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const net::LinkInfo& info = links[i];
-      const Mbps used = count_vod_flows_ ? network_.used_bandwidth(info.id)
-                                         : network_.background(info.id);
-      sweep_scratch_[i].used = used;
-      sweep_scratch_[i].utilization =
-          std::clamp(used / info.capacity, 0.0, 1.0);
-      sweep_scratch_[i].online = network_.link_up(info.id);
-    }
-  });
-  // Serial merge in link order: database writes are effects, applied after
-  // the barrier exactly as the serial sweep interleaved them.
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    view_.update_link_stats(links[i].id, sweep_scratch_[i].used,
-                            sweep_scratch_[i].utilization, now);
-    view_.set_link_online(links[i].id, sweep_scratch_[i].online);
+  // One index walk per link: utilization derives from the same `used`
+  // figure (the exact arithmetic FluidNetwork::utilization performs)
+  // instead of re-summing the link's flows.
+  for (const net::LinkInfo& info : links) {
+    const Mbps used = count_vod_flows_ ? network_.used_bandwidth(info.id)
+                                       : network_.background(info.id);
+    view_.update_link_stats(info.id, used,
+                            std::clamp(used / info.capacity, 0.0, 1.0), now);
+    view_.set_link_online(info.id, network_.link_up(info.id));
   }
   ++poll_count_;
   last_poll_at_ = now;

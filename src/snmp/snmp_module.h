@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "common/sim_time.h"
 #include "db/database.h"
@@ -63,14 +62,6 @@ class SnmpModule {
  private:
   void sample(SimTime now);
 
-  /// One link's computed counters from the parallel phase of a sweep; the
-  /// serial merge applies them to the database in link order.
-  struct LinkReading {
-    Mbps used{0.0};
-    double utilization = 0.0;
-    bool online = true;
-  };
-
   sim::Simulation& sim_;
   net::FluidNetwork& network_;
   db::LimitedAccessView view_;
@@ -79,7 +70,6 @@ class SnmpModule {
   std::size_t poll_count_ = 0;
   std::optional<SimTime> last_poll_at_;
   std::unique_ptr<sim::PeriodicTask> task_;
-  std::vector<LinkReading> sweep_scratch_;  // reused across sweeps
 };
 
 }  // namespace vod::snmp

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -85,6 +86,16 @@ TEST(EventQueue, RejectsSchedulingInThePast) {
   queue.run_next();
   EXPECT_THROW(queue.schedule(SimTime{4.0}, [](SimTime) {}),
                std::invalid_argument);
+  // Non-finite times are rejected too: NaN would break the heap's strict
+  // weak ordering, and +inf would drag now() to infinity.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(queue.schedule(SimTime{bad}, [](SimTime) {}),
+                 std::invalid_argument);
+  }
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.now(), SimTime{5.0});
 }
 
 TEST(EventQueue, SchedulingAtNowIsAllowed) {

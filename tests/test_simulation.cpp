@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -125,6 +126,12 @@ TEST(PeriodicTask, RejectsBadArguments) {
                std::invalid_argument);
   EXPECT_THROW(PeriodicTask(sim, Duration{-1.0}, [](SimTime) {}),
                std::invalid_argument);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(PeriodicTask(sim, Duration{bad}, [](SimTime) {}),
+                 std::invalid_argument);
+  }
   EXPECT_THROW(PeriodicTask(sim, Duration{1.0}, std::function<void(SimTime)>{}),
                std::invalid_argument);
 }

@@ -6,11 +6,11 @@
 namespace fixture {
 
 void spawn_all() {
-  std::thread worker([] {});        // expected: raw std::thread
-  worker.detach();                  // expected: detach outside the doorway
+  std::jthread worker([] {});       // expected: raw std::jthread
+  worker.detach();                  // expected: .detach()
   auto future = std::async([] {});  // expected: raw std::async
   // vodlint:allow(raw-thread: fixture demonstrates suppression)
-  std::thread waived([] {});  // suppressed: reported but not counted
+  std::jthread waived([] {});  // suppressed: reported but not counted
   waived.join();
 }
 
