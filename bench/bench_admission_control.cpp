@@ -69,8 +69,9 @@ RunResult run(bool with_admission, int request_count) {
   for (const workload::Request& request : requests) {
     sim.schedule_at(request.at, [&, request](SimTime) {
       if (with_admission) {
-        const auto outcome = service.request_with_admission(
-            request.home, request.video, /*headroom=*/1.0);
+        const auto outcome =
+            service.request_classed(request.home, request.video,
+                                    UserClass::kStandard, /*headroom=*/1.0);
         if (outcome.session) {
           ids.push_back(*outcome.session);
         } else {

@@ -87,11 +87,25 @@ echo "==== perf gate (fluid allocator) ===="
 # to the reference filler; emits the machine-readable BENCH_fluid.json.
 build/bench/bench_fluid_alloc --out build/BENCH_fluid.json
 
+echo "==== perf gate (VRA graph memo) ===="
+# Decisions bit-for-bit identical to a rebuild per selection, and >=5x
+# faster than it on the scaled backbone's steady state.
+build/bench/bench_vra_incremental
+
 echo "==== perf gate (session store) ===="
-# >=5x ns/event over the pre-PR never-erased std::map store at 100k
-# concurrent sessions and flat resident memory across real-service churn
-# waves; emits BENCH_scale.json.
+# Flat resident memory across real-service churn waves; emits
+# BENCH_scale.json.
 build/bench/bench_scale --scale-gate --out build/BENCH_scale.json
+
+echo "==== perfbench smoke (end-to-end correctness) ===="
+# One short traced run per workload of the end-to-end benchmark: every
+# correctness check (one outcome per request, drained sessions and flows,
+# tallies equal to the metrics snapshot, identical digest across reps)
+# must pass.  No throughput floor: wall-clock numbers are not gated here.
+for workload in remote_wide local_churn contended_storm; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+    --trace 1 > "build/ci_perfbench_${workload}.out"
+done
 
 echo "==== qos gate (tiered classes under storm) ===="
 # Seeded fault storm at >=90% bottleneck utilization: premium availability

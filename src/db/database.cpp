@@ -1,5 +1,6 @@
 #include "db/database.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -14,9 +15,10 @@ Database::Database(AdminCredential admin) : admin_(std::move(admin)) {
 VideoId Database::register_video(std::string title, MegaBytes size,
                                  Mbps bitrate) {
   require(!title.empty(), "register_video: empty title");
-  require(!(size.value() <= 0.0), "register_video: size must be positive");
-  require(!(bitrate.value() <= 0.0),
-      "register_video: bitrate must be positive");
+  require(std::isfinite(size.value()) && size.value() > 0.0,
+      "register_video: size must be positive and finite");
+  require(std::isfinite(bitrate.value()) && bitrate.value() > 0.0,
+      "register_video: bitrate must be positive and finite");
   const VideoId id{next_video_++};
   videos_.emplace(id, VideoInfo{id, std::move(title), size, bitrate});
   return id;
@@ -37,8 +39,9 @@ void Database::register_link(LinkId link, std::string name,
                              Mbps total_bandwidth) {
   require(link.valid(), "register_link: invalid link");
   require(!links_.contains(link), "register_link: duplicate link entry");
-  require(!(total_bandwidth.value() <= 0.0),
-      "register_link: bandwidth must be positive");
+  require(std::isfinite(total_bandwidth.value()) &&
+              total_bandwidth.value() > 0.0,
+      "register_link: bandwidth must be positive and finite");
   LinkRecord record;
   record.id = link;
   record.name = std::move(name);
@@ -106,18 +109,20 @@ auto& find_or_throw(Map& map, Key key, const char* what) {
 
 void LimitedAccessView::update_link_stats(LinkId link, Mbps used,
                                           double utilization, SimTime when) {
-  require(!(used.value() < 0.0 || utilization < 0.0 || utilization > 1.0),
+  require(std::isfinite(used.value()) && used.value() >= 0.0 &&
+              std::isfinite(utilization) && utilization >= 0.0 &&
+              utilization <= 1.0 && std::isfinite(when.seconds()),
       "update_link_stats: bad statistics");
   auto& record =
       find_or_throw(db_->links_, link, "update_link_stats: unknown link");
   // SNMP re-reporting identical counters refreshes the staleness clock but
-  // is not a change: the epoch (and the link's dirty stamp) move only when
-  // a VRA-relevant value actually differs.
+  // is not a change: the link epoch moves only when a VRA-relevant value
+  // actually differs.
   if (record.used_bandwidth.value() != used.value() ||
       record.utilization != utilization) {
     record.used_bandwidth = used;
     record.utilization = utilization;
-    record.last_changed_epoch = db_->bump_link_epoch();
+    ++db_->links_changed_epoch_;
   }
   record.last_snmp_update = when;
 }
@@ -127,7 +132,7 @@ void LimitedAccessView::set_link_online(LinkId link, bool online) {
       find_or_throw(db_->links_, link, "set_link_online: unknown link");
   if (record.online == online) return;
   record.online = online;
-  record.last_changed_epoch = db_->bump_link_epoch();
+  ++db_->links_changed_epoch_;
 }
 
 const LinkRecord& LimitedAccessView::link(LinkId link) const {
@@ -155,31 +160,23 @@ std::vector<ServerRecord> LimitedAccessView::servers() const {
 void LimitedAccessView::set_server_config(NodeId node, ServerConfig config) {
   find_or_throw(db_->servers_, node, "set_server_config: unknown server")
       .config = config;
-  db_->bump_epoch();
 }
 
 void LimitedAccessView::set_server_online(NodeId node, bool online) {
   auto& record =
       find_or_throw(db_->servers_, node, "set_server_online: unknown server");
-  if (record.online == online) return;
   record.online = online;
-  db_->bump_epoch();
 }
 
 void LimitedAccessView::add_title(NodeId node, VideoId video) {
   require(!(!db_->videos_.contains(video)), "add_title: unknown video");
-  if (find_or_throw(db_->servers_, node, "add_title: unknown server")
-          .titles.insert(video)
-          .second) {
-    db_->bump_epoch();
-  }
+  find_or_throw(db_->servers_, node, "add_title: unknown server")
+      .titles.insert(video);
 }
 
 void LimitedAccessView::remove_title(NodeId node, VideoId video) {
-  if (find_or_throw(db_->servers_, node, "remove_title: unknown server")
-          .titles.erase(video) > 0) {
-    db_->bump_epoch();
-  }
+  find_or_throw(db_->servers_, node, "remove_title: unknown server")
+      .titles.erase(video);
 }
 
 double LimitedAccessView::stats_age(LinkId link, SimTime now) const {

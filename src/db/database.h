@@ -58,22 +58,12 @@ class Database {
   /// mismatch.
   LimitedAccessView limited_view(const AdminCredential& credential);
 
-  // --- change epochs (the incremental VRA's invalidation signal) ---
-  //
-  // Every limited-access mutation advances change_epoch(); mutations that
-  // change a link's VRA-relevant state (statistics or online flag) also
-  // advance links_changed_epoch() and stamp the link's record.  A reader
-  // that cached derived state at epoch E knows:
-  //   * links_changed_epoch() <= E  -> its weighted graph is still valid;
-  //   * otherwise the dirty links are exactly those with
-  //     last_changed_epoch > E.
-  // Writes that do not change any stored value (e.g. SNMP re-reporting
-  // identical counters) bump nothing, so "dirty" means "actually changed".
+  // --- link epoch (the VRA graph memo's invalidation signal) ---
 
-  /// Monotonic counter of effective limited-access writes.
-  [[nodiscard]] std::uint64_t change_epoch() const { return change_epoch_; }
-
-  /// change_epoch() value of the last effective link-state write.
+  /// Counter of effective link-state writes: a statistics value that
+  /// actually differs, or an online flip.  A VRA graph built at epoch E is
+  /// still valid while links_changed_epoch() == E.  Writes that change no
+  /// stored value (SNMP re-reporting identical counters) do not advance it.
   [[nodiscard]] std::uint64_t links_changed_epoch() const {
     return links_changed_epoch_;
   }
@@ -82,19 +72,11 @@ class Database {
   friend class FullAccessView;
   friend class LimitedAccessView;
 
-  /// Bumps and returns the global epoch (an effective non-link write).
-  std::uint64_t bump_epoch() { return ++change_epoch_; }
-  /// Bumps the global epoch and marks it as a link-state change.
-  std::uint64_t bump_link_epoch() {
-    return links_changed_epoch_ = ++change_epoch_;
-  }
-
   AdminCredential admin_;
   std::map<VideoId, VideoInfo> videos_;
   std::map<NodeId, ServerRecord> servers_;
   std::map<LinkId, LinkRecord> links_;
   VideoId::underlying_type next_video_ = 0;
-  std::uint64_t change_epoch_ = 0;
   std::uint64_t links_changed_epoch_ = 0;
 };
 
@@ -148,10 +130,7 @@ class LimitedAccessView {
   /// Staleness of a link's statistics relative to `now`.
   [[nodiscard]] double stats_age(LinkId link, SimTime now) const;
 
-  // --- change epochs (see Database) ---
-  [[nodiscard]] std::uint64_t change_epoch() const {
-    return db_->change_epoch();
-  }
+  // --- link epoch (see Database) ---
   [[nodiscard]] std::uint64_t links_changed_epoch() const {
     return db_->links_changed_epoch();
   }

@@ -32,9 +32,8 @@ struct ServiceReport {
   int total_switches = 0;
   int total_stall_retries = 0;
 
-  /// Incremental LVN engine counters (graph/SPT cache effectiveness).
+  /// VRA graph memo counters (graph/SPT cache effectiveness).
   vra::VraCacheStats vra_cache;
-  bool vra_cache_enabled = false;
 
   [[nodiscard]] double qos_ok_share() const {
     return finished > 0

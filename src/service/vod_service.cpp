@@ -30,8 +30,7 @@ VodService::VodService(sim::Simulation& sim, const net::Topology& topology,
       Duration{options_.snmp_interval_seconds});
   vra_ = std::make_unique<vra::Vra>(topology_, db_.full_view(),
                                     db_.limited_view(admin_),
-                                    options_.validation,
-                                    options_.vra_cache_enabled);
+                                    options_.validation);
   vra_->configure_degraded_mode(Duration{options_.degraded_stats_age_seconds},
                                 [this] { return sim_.now(); });
   vra_policy_ = std::make_unique<stream::VraPolicy>(
@@ -48,9 +47,10 @@ VodService::VodService(sim::Simulation& sim, const net::Topology& topology,
   metrics_.add_collector([this](obs::MetricsSnapshot& snap) {
     const vra::VraCacheStats& cs = vra_->cache_stats();
     snap.set_counter("vra.graph_hits", cs.graph_hits);
-    snap.set_counter("vra.graph_incremental", cs.graph_incremental);
+    // Always 0: published only because the frozen perfbench/vodbench.cpp
+    // reads it through value_u64, which throws on unknown names.
+    snap.set_counter("vra.graph_incremental", 0);
     snap.set_counter("vra.graph_rebuilds", cs.graph_rebuilds);
-    snap.set_counter("vra.edges_rewritten", cs.edges_rewritten);
     snap.set_counter("vra.spt_hits", cs.spt_hits);
     snap.set_counter("vra.spt_misses", cs.spt_misses);
     snap.set_counter("vra.degraded_selections",
@@ -378,39 +378,6 @@ stream::Session::DoneCallback VodService::wrap_with_retry(
           }
         });
   };
-}
-
-VodService::AdmissionOutcome VodService::request_with_admission(
-    NodeId home, VideoId video, double headroom,
-    stream::Session::DoneCallback on_done) {
-  const auto info = db_.full_view().video(video);
-  require(info, "request_with_admission: unknown video");
-  require(topology_.has_node(home), "request_with_admission: unknown home");
-  const auto decision = vra_->select_server(home, video);
-  if (!decision) {
-    // The DMA still counts the demand even when nothing can serve it.
-    servers_.at(home).cache->on_request(video, info->size);
-    return AdmissionOutcome{Admission::kNoServer, std::nullopt, {}};
-  }
-  const AdmissionController admission{
-      db_.limited_view(admin_),
-      AdmissionOptions{.required_headroom = headroom}};
-  if (!admission.admit(*decision, info->bitrate)) {
-    servers_.at(home).cache->on_request(video, info->size);
-    ++rejected_;
-    VOD_LOG_INFO("service: rejected request for " << info->title
-                                                  << " (no QoS headroom)");
-    if (obs::TraceRecorder* tr = obs::trace_sink()) {
-      tr->instant(
-          obs::Subsystem::kService, "service.reject",
-          {{"home", topology_.node_name(home)},
-           {"video", obs::num(static_cast<std::uint64_t>(video.value()))}});
-    }
-    return AdmissionOutcome{Admission::kRejected, std::nullopt, {}};
-  }
-  ++admitted_;
-  const SessionId id = request_at(home, video, std::move(on_done));
-  return AdmissionOutcome{Admission::kAdmitted, id, {}};
 }
 
 VodService::AdmissionOutcome VodService::request_classed(

@@ -157,10 +157,6 @@ struct ServiceOptions {
   double coalesce_window_seconds = 0.0;
   /// Ring-buffer size of the routing decision audit (0 = auditing off).
   std::size_t audit_capacity = 0;
-  /// Incremental LVN engine: cache the weighted graph and shortest-path
-  /// trees between database changes (selections are identical either way;
-  /// false recomputes per request, the seed behaviour).
-  bool vra_cache_enabled = true;
   vra::ValidationOptions validation{};
   dma::DmaOptions dma{};
   stream::SessionOptions session{};
@@ -240,21 +236,18 @@ class VodService {
     std::vector<SessionId> preempted;
   };
 
-  /// Like request_at, but the session starts only if the VRA's chosen path
-  /// has at least `headroom` x the title's bitrate of residual bandwidth
-  /// (per the limited-access statistics).  Rejected requests still count
-  /// toward the home server's DMA popularity — a denied user asked for the
-  /// title all the same.
-  AdmissionOutcome request_with_admission(
-      NodeId home, VideoId video, double headroom = 1.0,
-      stream::Session::DoneCallback on_done = {});
-
   /// Fixed failure reason of sessions aborted by the preemption planner —
   /// reports and tests identify victims by it.
   static constexpr const char* kPreemptedReason =
       "preempted by higher-class admission";
 
-  /// The tiered front door (ServiceOptions::qos): class-aware admission
+  /// The admission-controlled front door: like request_at, but the session
+  /// starts only if the VRA's chosen path has at least `headroom` x the
+  /// title's bitrate of residual bandwidth (per the limited-access
+  /// statistics).  Rejected requests still count toward the home server's
+  /// DMA popularity — a denied user asked for the title all the same.
+  ///
+  /// With ServiceOptions::qos enabled it is tiered: class-aware admission
   /// (per-class headroom via `headroom` x the class's multiplier), then —
   /// when plain admission fails, preemption is allowed, and the path is
   /// merely saturated rather than severed — the planner ranks strictly
@@ -262,8 +255,8 @@ class VodService {
   /// and aborts just enough of them, by their current delivered rates, to
   /// cover every short link's deficit.  Victims re-enter through the
   /// service-retry chain at their own class (their remaining budget
-  /// permitting).  With qos.enabled == false this is exactly
-  /// request_with_admission for any class argument.
+  /// permitting).  With qos.enabled == false the class argument changes
+  /// nothing: every class is admitted by the same classless check.
   AdmissionOutcome request_classed(NodeId home, VideoId video, UserClass cls,
                                    double headroom = 1.0,
                                    stream::Session::DoneCallback on_done = {});

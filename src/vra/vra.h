@@ -11,15 +11,14 @@
 // The VRA keeps running during playback: the streaming layer calls
 // select_server() again before each cluster, enabling mid-stream switching.
 //
-// Incremental engine: the LVNs are a pure function of the limited-access
-// link statistics, which only change when SNMP polls (or an administrator)
+// Graph memo: the LVNs are a pure function of the limited-access link
+// statistics, which only change when SNMP polls (or an administrator)
 // writes them — every 1–2 minutes — while select_server() runs per cluster
-// fetch.  The VRA therefore caches the weighted graph and the per-home
-// shortest-path trees, keyed on the database's links_changed_epoch(); when
-// the epoch advances it rewrites just the edges whose weights could have
-// moved (the dirty links' endpoints' neighborhoods) and falls back to a
-// full rebuild only when a link's online flag flipped (graph membership
-// change).  Selections are bit-for-bit identical to uncached operation.
+// fetch.  The VRA therefore keeps the weighted graph and the per-home
+// shortest-path trees, keyed on the database's links_changed_epoch(), and
+// rebuilds both whenever that epoch has moved.  A poll rewrites nearly
+// every link's counters, so there is no cheaper partial refresh worth
+// keeping.  Selections are bit-for-bit identical to a fresh build.
 #pragma once
 
 #include <cstdint>
@@ -66,17 +65,13 @@ struct Decision {
   [[nodiscard]] double cost() const { return path.cost; }
 };
 
-/// Effectiveness counters of the incremental engine (reported through
+/// Effectiveness counters of the graph memo (reported through
 /// service::ServiceReport so benches can assert cache behaviour).
 struct VraCacheStats {
   /// Graph served unchanged (links epoch did not advance).
   std::uint64_t graph_hits = 0;
-  /// Graph refreshed by rewriting only the dirty links' neighborhoods.
-  std::uint64_t graph_incremental = 0;
-  /// Full cold builds (first use, online flips, cache disabled).
+  /// Graph builds (first use, every links-epoch move, server-load mode).
   std::uint64_t graph_rebuilds = 0;
-  /// Edge weights rewritten across all incremental refreshes.
-  std::uint64_t edges_rewritten = 0;
   /// Dijkstra trees served from / inserted into the per-home cache.
   std::uint64_t spt_hits = 0;
   std::uint64_t spt_misses = 0;
@@ -88,11 +83,8 @@ struct VraCacheStats {
 class Vra {
  public:
   /// `topology` must outlive the Vra; the views are value facades.
-  /// `enable_cache = false` recomputes everything per call (the seed
-  /// behaviour — kept for A/B benches and as a paranoia switch).
   Vra(const net::Topology& topology, db::FullAccessView catalog,
-      db::LimitedAccessView network_state, ValidationOptions options = {},
-      bool enable_cache = true);
+      db::LimitedAccessView network_state, ValidationOptions options = {});
 
   /// Runs Figure 5 for a client homed at `home` requesting `video`.
   /// Returns nullopt when no online server holds the title.
@@ -124,16 +116,14 @@ class Vra {
     return degraded_selections_;
   }
 
-  // --- incremental engine controls ---
+  // --- graph memo ---
 
-  [[nodiscard]] bool cache_enabled() const { return cache_enabled_; }
-  void set_cache_enabled(bool enabled);
-
-  /// Drops the cached graph and shortest-path trees (counters persist).
+  /// Drops the cached graph and shortest-path trees (counters persist);
+  /// the next selection rebuilds from scratch, like a fresh Vra.
   void invalidate_cache() const;
 
   /// The graph the engine routes on, refreshed to the database's current
-  /// links epoch (counts a hit/incremental/rebuild like a request would).
+  /// links epoch (counts a hit/rebuild like a request would).
   /// The reference is valid until the next database change.
   [[nodiscard]] const routing::Graph& routing_graph() const {
     return weighted_graph();
@@ -149,8 +139,8 @@ class Vra {
   /// video": here, an online check against the limited-access view.
   [[nodiscard]] bool can_provide(NodeId server, VideoId video) const;
 
-  /// Returns the cached weighted graph, refreshed to the database's current
-  /// links epoch (full rebuild / dirty-links rewrite / as-is).
+  /// Returns the cached weighted graph, rebuilt first when the database's
+  /// links epoch has moved since the last build.
   [[nodiscard]] const routing::Graph& weighted_graph() const;
 
   /// The degraded fallback: min-hop paths over the links whose records
@@ -158,22 +148,16 @@ class Vra {
   [[nodiscard]] std::optional<Decision> select_degraded(
       NodeId home, const std::vector<NodeId>& holders) const;
 
-  void full_rebuild(std::uint64_t epoch) const;
-  /// Rewrites the weights reachable from the dirty links; falls back to
-  /// full_rebuild() when a dirty link's online flag flipped.
-  void refresh_dirty_links(std::uint64_t epoch) const;
-
   /// The machine-load extension reads an arbitrary callback the database
   /// epoch knows nothing about, so caching would be unsound with it on.
   [[nodiscard]] bool cache_usable() const {
-    return cache_enabled_ && options_.server_load_weight == 0.0;
+    return options_.server_load_weight == 0.0;
   }
 
   const net::Topology& topology_;
   db::FullAccessView catalog_;
   db::LimitedAccessView network_state_;
   ValidationOptions options_;
-  bool cache_enabled_ = true;
   double degraded_max_age_ = std::numeric_limits<double>::infinity();
   std::function<SimTime()> clock_;
   mutable std::uint64_t degraded_selections_ = 0;

@@ -194,8 +194,8 @@ struct ServiceFixture {
 TEST(ServiceAdmission, AdmitsWhenPathHasHeadroom) {
   ServiceFixture fx;
   fx.service->place_initial_copy(fx.g.ioannina, fx.movie);
-  const auto outcome =
-      fx.service->request_with_admission(fx.g.patra, fx.movie);
+  const auto outcome = fx.service->request_classed(fx.g.patra, fx.movie,
+                                                   UserClass::kStandard);
   EXPECT_EQ(outcome.verdict, VodService::Admission::kAdmitted);
   ASSERT_TRUE(outcome.session.has_value());
   fx.sim.run_until(from_hours(1.0));
@@ -213,8 +213,8 @@ TEST(ServiceAdmission, RejectsWhenAllRoutesSaturated) {
   fx.service->place_initial_copy(fx.g.athens, fx.movie);
   fx.sim.run_until(grnet::time_of(grnet::TimeOfDay::k10am));
   fx.service->snmp().poll_now(fx.sim.now());
-  const auto outcome =
-      fx.service->request_with_admission(fx.g.patra, fx.movie);
+  const auto outcome = fx.service->request_classed(fx.g.patra, fx.movie,
+                                                   UserClass::kStandard);
   EXPECT_EQ(outcome.verdict, VodService::Admission::kRejected);
   EXPECT_FALSE(outcome.session.has_value());
   EXPECT_EQ(fx.service->rejected_count(), 1u);
@@ -222,8 +222,8 @@ TEST(ServiceAdmission, RejectsWhenAllRoutesSaturated) {
 
 TEST(ServiceAdmission, NoServerReported) {
   ServiceFixture fx;
-  const auto outcome =
-      fx.service->request_with_admission(fx.g.patra, fx.movie);
+  const auto outcome = fx.service->request_classed(fx.g.patra, fx.movie,
+                                                   UserClass::kStandard);
   EXPECT_EQ(outcome.verdict, VodService::Admission::kNoServer);
 }
 
@@ -233,7 +233,8 @@ TEST(ServiceAdmission, RejectedRequestsStillEarnDmaPoints) {
   fx.sim.run_until(grnet::time_of(grnet::TimeOfDay::k10am));
   fx.service->snmp().poll_now(fx.sim.now());
   const auto before = fx.service->dma_cache(fx.g.patra).points(fx.movie);
-  (void)fx.service->request_with_admission(fx.g.patra, fx.movie);
+  (void)fx.service->request_classed(fx.g.patra, fx.movie,
+                                    UserClass::kStandard);
   EXPECT_GT(fx.service->dma_cache(fx.g.patra).points(fx.movie) + 1,
             before);  // on_request ran (points or store attempt)
   EXPECT_EQ(fx.service->dma_cache(fx.g.patra).request_count(), 1u);
@@ -244,16 +245,18 @@ TEST(ServiceAdmission, LocalCopyAdmittedRegardlessOfNetwork) {
   fx.service->place_initial_copy(fx.g.patra, fx.movie);
   fx.sim.run_until(grnet::time_of(grnet::TimeOfDay::k10am));
   fx.service->snmp().poll_now(fx.sim.now());
-  const auto outcome = fx.service->request_with_admission(
-      fx.g.patra, fx.movie, /*headroom=*/10.0);
+  const auto outcome = fx.service->request_classed(
+      fx.g.patra, fx.movie, UserClass::kStandard, /*headroom=*/10.0);
   EXPECT_EQ(outcome.verdict, VodService::Admission::kAdmitted);
 }
 
 TEST(ServiceAdmission, ValidatesArguments) {
   ServiceFixture fx;
-  EXPECT_THROW(fx.service->request_with_admission(fx.g.patra, VideoId{99}),
+  EXPECT_THROW(fx.service->request_classed(fx.g.patra, VideoId{99},
+                                           UserClass::kStandard),
                std::invalid_argument);
-  EXPECT_THROW(fx.service->request_with_admission(NodeId{99}, fx.movie),
+  EXPECT_THROW(fx.service->request_classed(NodeId{99}, fx.movie,
+                                           UserClass::kStandard),
                std::invalid_argument);
 }
 

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace vod::db {
 namespace {
 
 const AdminCredential kAdmin{"secret"};
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 Database make_db() {
   Database db{kAdmin};
@@ -30,10 +33,13 @@ TEST(Database, RegisterVideoValidatesInput) {
   Database db = make_db();
   EXPECT_THROW(db.register_video("", MegaBytes{1.0}, Mbps{1.0}),
                std::invalid_argument);
-  EXPECT_THROW(db.register_video("x", MegaBytes{0.0}, Mbps{1.0}),
-               std::invalid_argument);
-  EXPECT_THROW(db.register_video("x", MegaBytes{1.0}, Mbps{0.0}),
-               std::invalid_argument);
+  for (const double bad : {0.0, kNan, kInf, -kInf}) {
+    EXPECT_THROW(db.register_video("x", MegaBytes{bad}, Mbps{1.0}),
+                 std::invalid_argument);
+    EXPECT_THROW(db.register_video("x", MegaBytes{1.0}, Mbps{bad}),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(db.full_view().video_count(), 0u);
 }
 
 TEST(Database, LimitedViewRequiresCredential) {
@@ -59,8 +65,11 @@ TEST(Database, DuplicateLinkRejected) {
 
 TEST(Database, LinkNeedsPositiveBandwidth) {
   Database db = make_db();
-  EXPECT_THROW(db.register_link(LinkId{0}, "l", Mbps{0.0}),
-               std::invalid_argument);
+  for (const double bad : {0.0, kNan, kInf, -kInf}) {
+    EXPECT_THROW(db.register_link(LinkId{0}, "l", Mbps{bad}),
+                 std::invalid_argument);
+  }
+  EXPECT_TRUE(db.limited_view(kAdmin).links().empty());
 }
 
 TEST(FullAccess, ListAndLookup) {
@@ -135,12 +144,25 @@ TEST(LimitedAccess, LinkStatsValidated) {
   Database db = make_db();
   db.register_link(LinkId{0}, "l", Mbps{2.0});
   auto limited = db.limited_view(kAdmin);
-  EXPECT_THROW(
-      limited.update_link_stats(LinkId{0}, Mbps{-1.0}, 0.5, SimTime{0.0}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      limited.update_link_stats(LinkId{0}, Mbps{1.0}, 1.5, SimTime{0.0}),
-      std::invalid_argument);
+  for (const double bad : {-1.0, kNan, kInf, -kInf}) {
+    EXPECT_THROW(
+        limited.update_link_stats(LinkId{0}, Mbps{bad}, 0.5, SimTime{0.0}),
+        std::invalid_argument);
+  }
+  for (const double bad : {1.5, -0.1, kNan, kInf, -kInf}) {
+    EXPECT_THROW(
+        limited.update_link_stats(LinkId{0}, Mbps{1.0}, bad, SimTime{0.0}),
+        std::invalid_argument);
+  }
+  for (const double bad : {kNan, kInf, -kInf}) {
+    EXPECT_THROW(
+        limited.update_link_stats(LinkId{0}, Mbps{1.0}, 0.5, SimTime{bad}),
+        std::invalid_argument);
+  }
+  // A rejected write leaves the record and the link epoch untouched.
+  EXPECT_EQ(limited.link(LinkId{0}).used_bandwidth, Mbps{0.0});
+  EXPECT_EQ(limited.link(LinkId{0}).utilization, 0.0);
+  EXPECT_EQ(limited.links_changed_epoch(), 0u);
   EXPECT_THROW(
       limited.update_link_stats(LinkId{7}, Mbps{1.0}, 0.5, SimTime{0.0}),
       std::out_of_range);
@@ -189,23 +211,22 @@ TEST(LimitedAccess, UnknownLookupsThrow) {
                std::out_of_range);
 }
 
-TEST(ChangeEpoch, LinkWritesBumpLinkEpochAndStampRecord) {
+TEST(ChangeEpoch, EffectiveLinkWritesBumpLinkEpoch) {
   Database db = make_db();
   db.register_link(LinkId{0}, "l0", Mbps{10.0});
   db.register_link(LinkId{1}, "l1", Mbps{10.0});
   auto view = db.limited_view(kAdmin);
-  EXPECT_EQ(view.change_epoch(), 0u);
   EXPECT_EQ(view.links_changed_epoch(), 0u);
 
   view.update_link_stats(LinkId{0}, Mbps{3.0}, 0.3, SimTime{1.0});
-  EXPECT_EQ(view.change_epoch(), 1u);
   EXPECT_EQ(view.links_changed_epoch(), 1u);
-  EXPECT_EQ(view.link(LinkId{0}).last_changed_epoch, 1u);
-  EXPECT_EQ(view.link(LinkId{1}).last_changed_epoch, 0u);
+  view.update_link_stats(LinkId{1}, Mbps{3.0}, 0.4, SimTime{1.0});
+  EXPECT_EQ(view.links_changed_epoch(), 2u);
 
   view.set_link_online(LinkId{1}, false);
-  EXPECT_EQ(view.links_changed_epoch(), 2u);
-  EXPECT_EQ(view.link(LinkId{1}).last_changed_epoch, 2u);
+  EXPECT_EQ(view.links_changed_epoch(), 3u);
+  view.set_link_online(LinkId{1}, true);
+  EXPECT_EQ(view.links_changed_epoch(), 4u);
 }
 
 TEST(ChangeEpoch, IdenticalSnmpSampleIsNotAChange) {
@@ -213,34 +234,25 @@ TEST(ChangeEpoch, IdenticalSnmpSampleIsNotAChange) {
   db.register_link(LinkId{0}, "l0", Mbps{10.0});
   auto view = db.limited_view(kAdmin);
   view.update_link_stats(LinkId{0}, Mbps{3.0}, 0.3, SimTime{1.0});
-  const std::uint64_t epoch = view.change_epoch();
+  const std::uint64_t epoch = view.links_changed_epoch();
   // Same counters, later timestamp: the staleness clock moves, the epoch
   // does not.
   view.update_link_stats(LinkId{0}, Mbps{3.0}, 0.3, SimTime{2.0});
-  EXPECT_EQ(view.change_epoch(), epoch);
+  EXPECT_EQ(view.links_changed_epoch(), epoch);
   EXPECT_DOUBLE_EQ(view.stats_age(LinkId{0}, SimTime{3.0}), 1.0);
   view.set_link_online(LinkId{0}, true);  // already online
-  EXPECT_EQ(view.change_epoch(), epoch);
+  EXPECT_EQ(view.links_changed_epoch(), epoch);
 }
 
-TEST(ChangeEpoch, CatalogWritesBumpGlobalButNotLinkEpoch) {
+TEST(ChangeEpoch, CatalogAndServerWritesDoNotBumpLinkEpoch) {
   Database db = make_db();
   db.register_server(NodeId{0}, "a", {});
   const VideoId movie = db.register_video("m", MegaBytes{10.0}, Mbps{2.0});
   auto view = db.limited_view(kAdmin);
   view.add_title(NodeId{0}, movie);
-  EXPECT_EQ(view.change_epoch(), 1u);
-  EXPECT_EQ(view.links_changed_epoch(), 0u);
-  view.add_title(NodeId{0}, movie);  // already held: no-op
-  EXPECT_EQ(view.change_epoch(), 1u);
   view.remove_title(NodeId{0}, movie);
-  EXPECT_EQ(view.change_epoch(), 2u);
-  view.remove_title(NodeId{0}, movie);  // already gone: no-op
-  EXPECT_EQ(view.change_epoch(), 2u);
   view.set_server_online(NodeId{0}, false);
-  EXPECT_EQ(view.change_epoch(), 3u);
-  view.set_server_online(NodeId{0}, false);  // unchanged: no-op
-  EXPECT_EQ(view.change_epoch(), 3u);
+  view.set_server_config(NodeId{0}, {});
   EXPECT_EQ(view.links_changed_epoch(), 0u);
 }
 

@@ -260,8 +260,8 @@ TEST(Qos, ReportQuantileCellsFollowTheSharedNearestRankRule) {
 
 TEST(Qos, DisabledQosMatchesClasslessServiceExactly) {
   // The single-class guarantee: with qos.enabled == false (the default),
-  // request_classed is request_with_admission for any class argument —
-  // same verdicts, same counters, no preemption, no qos.* metrics.
+  // request_classed admits every class by the classless check — same
+  // verdicts, same counters, no preemption, no qos.* metrics.
   ServiceOptions plain;
   plain.cluster_size = MegaBytes{10.0};
   plain.dma.admission_threshold = 1'000'000;
@@ -272,8 +272,8 @@ TEST(Qos, DisabledQosMatchesClasslessServiceExactly) {
   classed.service->place_initial_copy(classed.g.athens, classed.movie);
 
   for (int i = 0; i < 4; ++i) {
-    const auto a = classless.service->request_with_admission(
-        classless.g.patra, classless.movie);
+    const auto a = classless.service->request_classed(
+        classless.g.patra, classless.movie, UserClass::kStandard);
     const auto b = classed.service->request_classed(
         classed.g.patra, classed.movie, UserClass::kPremium);
     EXPECT_EQ(a.verdict, b.verdict);

@@ -87,7 +87,8 @@ std::string run_soak(std::uint64_t seed, int days) {
     const bool gated = rng.bernoulli(0.5);
     sim.schedule_at(request.at, [&service, request, gated](SimTime) {
       if (gated) {
-        (void)service.request_with_admission(request.home, request.video);
+        (void)service.request_classed(request.home, request.video,
+                                      UserClass::kStandard);
       } else {
         (void)service.request_at(request.home, request.video);
       }

@@ -1,10 +1,13 @@
-// The incremental LVN engine: epoch-keyed graph cache, dirty-links fast
-// path, per-home shortest-path-tree cache — and the guarantee that none of
-// it changes a single decision.
+// The VRA graph memo: the weighted graph and per-home shortest-path trees
+// are kept while the database's links epoch stands still and rebuilt when
+// it moves — and none of it changes a single decision.
 #include "vra/vra.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "grnet/grnet.h"
@@ -43,9 +46,9 @@ struct CaseFixture {
 
   db::LimitedAccessView view() { return db.limited_view(kAdmin); }
 
-  Vra make_vra(bool cached = true) {
-    return Vra{g.topology, db.full_view(), db.limited_view(kAdmin), {},
-               cached};
+  Vra make_vra(ValidationOptions options = {}) {
+    return Vra{g.topology, db.full_view(), db.limited_view(kAdmin),
+               std::move(options)};
   }
 };
 
@@ -77,10 +80,9 @@ TEST(VraCache, GraphReusedUntilEpochAdvances) {
   }
   EXPECT_EQ(vra.cache_stats().graph_rebuilds, 1u);
   EXPECT_EQ(vra.cache_stats().graph_hits, 5u);
-  EXPECT_EQ(vra.cache_stats().graph_incremental, 0u);
 }
 
-TEST(VraCache, StatsWriteTriggersIncrementalRefresh) {
+TEST(VraCache, StatsWriteTriggersRebuild) {
   CaseFixture fx;
   fx.place(fx.g.thessaloniki);
   const Vra vra = fx.make_vra();
@@ -89,11 +91,8 @@ TEST(VraCache, StatsWriteTriggersIncrementalRefresh) {
   fx.view().update_link_stats(fx.g.patra_athens, Mbps{1.9}, 0.95,
                               SimTime{100.0});
   ASSERT_TRUE(vra.select_server(fx.g.patra, fx.movie).has_value());
-  EXPECT_EQ(vra.cache_stats().graph_incremental, 1u);
-  EXPECT_EQ(vra.cache_stats().graph_rebuilds, 1u);
-  // Only the neighborhoods of the changed link's endpoints are rewritten.
-  EXPECT_GT(vra.cache_stats().edges_rewritten, 0u);
-  EXPECT_LT(vra.cache_stats().edges_rewritten, 7u);
+  EXPECT_EQ(vra.cache_stats().graph_rebuilds, 2u);
+  EXPECT_EQ(vra.cache_stats().graph_hits, 0u);
   expect_graph_matches_fresh_build(fx, vra);
 }
 
@@ -108,7 +107,7 @@ TEST(VraCache, IdenticalSnmpRewriteIsStillAHit) {
                               before.utilization, SimTime{90.0});
   ASSERT_TRUE(vra.select_server(fx.g.patra, fx.movie).has_value());
   EXPECT_EQ(vra.cache_stats().graph_hits, 1u);
-  EXPECT_EQ(vra.cache_stats().graph_incremental, 0u);
+  EXPECT_EQ(vra.cache_stats().graph_rebuilds, 1u);
 }
 
 TEST(VraCache, OfflineLinkIsExcludedAndFlipRebuildsGraph) {
@@ -172,11 +171,14 @@ TEST(VraCache, StatsChangeOnOfflineLinkStillMovesNeighborWeights) {
 
   // The offline link's statistics still feed its endpoints' node
   // validations (eq. 2 does not filter by online), so a stats write on it
-  // must propagate to the neighboring online edges via the fast path.
+  // must rebuild the graph and move the neighboring online edges.
+  const double before =
+      *vra.routing_graph().edge_weight(fx.g.patra_athens);
   fx.view().update_link_stats(fx.g.patra_ioannina, Mbps{1.8}, 0.88,
                               SimTime{200.0});
   ASSERT_TRUE(vra.select_server(fx.g.patra, fx.movie).has_value());
-  EXPECT_GE(vra.cache_stats().graph_incremental, 1u);
+  EXPECT_EQ(vra.cache_stats().graph_rebuilds, 2u);
+  EXPECT_NE(*vra.routing_graph().edge_weight(fx.g.patra_athens), before);
   expect_graph_matches_fresh_build(fx, vra);
 }
 
@@ -212,25 +214,47 @@ TEST(VraCache, CachedAndUncachedDecisionsAreIdenticalUnderChurn) {
   CaseFixture fx;
   fx.place(fx.g.thessaloniki);
   fx.place(fx.g.xanthi);
-  const Vra cached = fx.make_vra(true);
-  const Vra uncached = fx.make_vra(false);
+  const Vra cached = fx.make_vra();
+  // The reference path: the same engine with its memo dropped before every
+  // selection, so each decision comes from a fresh graph and fresh trees.
+  const Vra reference = fx.make_vra();
   auto view = fx.view();
 
   const std::vector<NodeId> homes{fx.g.patra, fx.g.athens, fx.g.heraklio,
                                   fx.g.ioannina};
   const std::vector<LinkId> links = fx.g.links_in_paper_order();
   double t = 0.0;
-  for (int round = 0; round < 40; ++round) {
-    // Churn one link per round (stats), plus an occasional online flip.
-    const LinkId victim = links[round % links.size()];
-    const double used = 0.5 + 0.37 * (round % 7);
-    view.update_link_stats(victim, Mbps{used}, used / 34.0, SimTime{t});
+  int selections = 0;
+  std::uint64_t rounds_with_moved_epoch = 0;
+  std::optional<std::uint64_t> built_at;
+  for (int round = 0; round < 60; ++round) {
+    if (round % 3 == 2) {
+      // A full SNMP sweep: every link reports moved counters, which is
+      // what a poll of the real service does.
+      for (std::size_t i = 0; i < links.size(); ++i) {
+        const double util = 0.05 + 0.13 * ((round + 3 * i) % 7);
+        const Mbps capacity = fx.g.topology.link(links[i]).capacity;
+        view.update_link_stats(links[i], Mbps{util * capacity.value()}, util,
+                               SimTime{t});
+      }
+    } else {
+      // One link per round, plus an occasional online flip.
+      const LinkId victim = links[round % links.size()];
+      const double used = 0.5 + 0.37 * (round % 7);
+      view.update_link_stats(victim, Mbps{used}, used / 34.0, SimTime{t});
+    }
     if (round % 11 == 5) view.set_link_online(links[2], round % 2 == 0);
     t += 90.0;
+    if (built_at != view.links_changed_epoch()) {
+      built_at = view.links_changed_epoch();
+      ++rounds_with_moved_epoch;
+    }
 
     for (const NodeId home : homes) {
       const auto a = cached.select_server(home, fx.movie);
-      const auto b = uncached.select_server(home, fx.movie);
+      reference.invalidate_cache();
+      const auto b = reference.select_server(home, fx.movie);
+      ++selections;
       ASSERT_EQ(a.has_value(), b.has_value());
       if (!a) continue;
       EXPECT_EQ(a->server, b->server);
@@ -242,12 +266,17 @@ TEST(VraCache, CachedAndUncachedDecisionsAreIdenticalUnderChurn) {
         EXPECT_EQ(a->candidates[i].path.cost, b->candidates[i].path.cost);
       }
     }
+    expect_graph_matches_fresh_build(fx, cached);
   }
-  // The cached instance must actually have been caching.
-  EXPECT_GT(cached.cache_stats().graph_incremental +
-                cached.cache_stats().graph_hits,
-            0u);
-  EXPECT_GT(uncached.cache_stats().graph_rebuilds, 100u);
+  // The cached instance rebuilt once per round whose writes moved the
+  // links epoch and served everything else from the memo; the reference
+  // rebuilt every time.
+  EXPECT_GT(rounds_with_moved_epoch, 40u);
+  EXPECT_EQ(cached.cache_stats().graph_rebuilds, rounds_with_moved_epoch);
+  EXPECT_GT(cached.cache_stats().graph_hits, 0u);
+  EXPECT_EQ(reference.cache_stats().graph_rebuilds,
+            static_cast<std::uint64_t>(selections));
+  EXPECT_EQ(reference.cache_stats().graph_hits, 0u);
 }
 
 TEST(VraCache, TitleAddIsVisibleWithoutGraphRebuild) {
@@ -269,14 +298,30 @@ TEST(VraCache, TitleAddIsVisibleWithoutGraphRebuild) {
   EXPECT_EQ(vra.cache_stats().graph_hits, 1u);
 }
 
-TEST(VraCache, DisabledCacheMatchesSeedBehaviour) {
-  CaseFixture fx;
+TEST(VraCache, ServerLoadModeRebuildsOnEveryCall) {
+  // The machine-load extension reads a callback the links epoch knows
+  // nothing about, so the memo must step aside: a load change with no
+  // database write still moves the very next decision.
+  CaseFixture fx{grnet::TimeOfDay::k4pm};
+  fx.place(fx.g.ioannina);
   fx.place(fx.g.thessaloniki);
-  const Vra vra = fx.make_vra(false);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(vra.select_server(fx.g.patra, fx.movie).has_value());
-  }
-  EXPECT_EQ(vra.cache_stats().graph_rebuilds, 3u);
+  fx.place(fx.g.xanthi);
+  double ioannina_load = 0.0;
+  ValidationOptions options;
+  options.server_load_weight = 0.5;
+  options.server_load = [&](NodeId node) {
+    return node == fx.g.ioannina ? ioannina_load : 0.0;
+  };
+  const Vra vra = fx.make_vra(options);
+  const auto idle = vra.select_server(fx.g.athens, fx.movie);
+  ASSERT_TRUE(idle.has_value());
+  EXPECT_EQ(idle->server, fx.g.ioannina);
+
+  ioannina_load = 0.95;
+  const auto pegged = vra.select_server(fx.g.athens, fx.movie);
+  ASSERT_TRUE(pegged.has_value());
+  EXPECT_NE(pegged->server, fx.g.ioannina);
+  EXPECT_EQ(vra.cache_stats().graph_rebuilds, 2u);
   EXPECT_EQ(vra.cache_stats().graph_hits, 0u);
   EXPECT_EQ(vra.cache_stats().spt_hits, 0u);
 }
