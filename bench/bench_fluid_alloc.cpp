@@ -123,9 +123,9 @@ ScaleResult run_scale(int flow_count) {
   ScaleResult result;
   result.flows = flow_count;
 
-  // --- reallocation: indexed (via clock moves, traffic cache cold each
-  // step) vs. the naive reference filler (same state, traffic cache warm —
-  // a bias in the reference's favor). ---
+  // --- reallocation: indexed (via clock moves) vs. the naive reference
+  // filler (same state); both read every link's background from the
+  // traffic model. ---
   const int indexed_reps = flow_count >= 10000 ? 9 : 25;
   const int reference_reps = flow_count >= 10000 ? 3 : 9;
   double t = 8.0 * 3600.0;

@@ -14,6 +14,7 @@
 // message only when the check actually fails.
 #pragma once
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -44,6 +45,14 @@ template <class Condition, class Message>
 constexpr void require(const Condition& condition, Message&& message) {
   if (static_cast<bool>(condition)) [[likely]] return;
   detail::raise<std::invalid_argument>(std::forward<Message>(message));
+}
+
+/// Throws std::invalid_argument unless `value` is positive and finite.
+/// Use it instead of `!(value <= 0.0)`, which lets NaN and +inf through.
+template <class Message>
+constexpr void require_positive_finite(double value, Message&& message) {
+  require(value > 0.0 && value < std::numeric_limits<double>::infinity(),
+          std::forward<Message>(message));
 }
 
 /// Throws std::out_of_range unless `condition` holds (lookup that must

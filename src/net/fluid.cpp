@@ -76,7 +76,6 @@ void FluidNetwork::set_time(SimTime t) {
   if (t == now_) return;
   const bool deferred = pre_mutation();
   now_ = t;
-  ++bg_gen_;  // the background cache is keyed on (link, now)
   if (!deferred) commit_mutation();
 }
 
@@ -110,8 +109,8 @@ void FluidNetwork::index_remove(FlowId id, const Flow& flow) {
 
 FlowId FluidNetwork::start_flow(std::vector<LinkId> path, Mbps rate_cap,
                                 std::uint32_t weight) {
-  require(!(rate_cap.value() <= 0.0),
-      "FluidNetwork::start_flow: cap must be positive");
+  require_positive_finite(rate_cap.value(),
+      "FluidNetwork::start_flow: cap must be positive and finite");
   require(weight >= 1, "FluidNetwork::start_flow: weight must be >= 1");
   for (const LinkId link : path) {
     require(topology_.has_link(link),
@@ -146,8 +145,8 @@ void FluidNetwork::stop_flow(FlowId flow) {
 }
 
 void FluidNetwork::set_flow_cap(FlowId flow, Mbps rate_cap) {
-  require(!(rate_cap.value() <= 0.0),
-      "FluidNetwork::set_flow_cap: cap must be positive");
+  require_positive_finite(rate_cap.value(),
+      "FluidNetwork::set_flow_cap: cap must be positive and finite");
   Flow* entry = flows_.find(flow);
   require_found(entry != nullptr,
       "FluidNetwork::set_flow_cap: unknown flow");
@@ -202,20 +201,11 @@ Mbps FluidNetwork::background(LinkId link) const {
   require_found(topology_.has_link(link),
       "FluidNetwork::background: unknown link");
   if (!link_up(link)) return Mbps{0.0};
-  const std::size_t l = link.value();
-  if (bg_cache_.size() <= l) {
-    bg_cache_.resize(topology_.link_count());
-    bg_cache_gen_.resize(topology_.link_count(), 0);
-  }
-  if (bg_cache_gen_[l] == bg_gen_) return bg_cache_[l];
   // Background never exceeds the link's capacity: the trace may carry the
   // paper's raw counters, but physics caps usage at the line rate.
   ++traffic_query_count_;
-  const Mbps raw = traffic_.background_load(link, now_);
-  const Mbps clamped = std::min(raw, topology_.link(link).capacity);
-  bg_cache_[l] = clamped;
-  bg_cache_gen_[l] = bg_gen_;
-  return clamped;
+  return std::min(traffic_.background_load(link, now_),
+                  topology_.link(link).capacity);
 }
 
 Mbps FluidNetwork::used_bandwidth(LinkId link) const {

@@ -90,9 +90,9 @@ class FluidNetwork {
 
   /// Starts a flow across `path` (links in order; may be empty for a purely
   /// local transfer, which then runs at `rate_cap`).  Every link must exist.
-  /// `rate_cap` must be positive.  `weight` (>= 1) is the flow's share of
-  /// each filling increment — the class-weighted max-min knob; 1 is the
-  /// classless paper behaviour.
+  /// `rate_cap` must be positive and finite.  `weight` (>= 1) is the flow's
+  /// share of each filling increment — the class-weighted max-min knob; 1 is
+  /// the classless paper behaviour.
   FlowId start_flow(std::vector<LinkId> path, Mbps rate_cap,
                     std::uint32_t weight = 1);
 
@@ -103,8 +103,8 @@ class FluidNetwork {
   void stop_flow(FlowId flow);
 
   /// Changes a flow's rate cap (encoding-bitrate switch, client line
-  /// upgrade); shares are re-solved.  `rate_cap` must be positive; throws
-  /// std::out_of_range if the flow is unknown.
+  /// upgrade); shares are re-solved.  `rate_cap` must be positive and
+  /// finite; throws std::out_of_range if the flow is unknown.
   void set_flow_cap(FlowId flow, Mbps rate_cap);
 
   /// Current fair-share rate of a flow (at least kMinFlowRate unless its
@@ -115,10 +115,8 @@ class FluidNetwork {
 
   [[nodiscard]] const std::vector<LinkId>& flow_path(FlowId flow) const;
 
-  /// Background-only load on a link at the current time.  Cached per
-  /// (link, instant): the TrafficModel is consulted at most once per link
-  /// between clock movements, however many times the residual builder, the
-  /// SNMP sweep and ad-hoc queries ask.
+  /// Background-only load on a link at the current time, clamped to the
+  /// link's capacity (zero while the link is down).
   [[nodiscard]] Mbps background(LinkId link) const;
 
   /// Background plus all flow shares crossing the link.  An incidence-index
@@ -150,9 +148,11 @@ class FluidNetwork {
   /// many flows at one simulated instant (failover storms, completion
   /// sweeps) pay for one progressive filling instead of one per mutation.
   ///
-  /// Epochs are meant to stay within one simulated instant: mid-epoch rate
-  /// reads are stale, so nothing that integrates rates over time may span
-  /// an open epoch across a clock movement with active transfers.
+  /// Mid-epoch rate reads are stale, so nothing may integrate rates across
+  /// a clock movement inside an open epoch.  An epoch may *begin* with the
+  /// clock movement once every integrator has settled at the old rates —
+  /// each TransferManager operation (settle, clock move, flow change or
+  /// completion sweep) is one such epoch and costs one solve.
   class [[nodiscard]] BatchGuard {
    public:
     BatchGuard() = default;
@@ -216,9 +216,8 @@ class FluidNetwork {
     return reallocation_count_;
   }
 
-  /// TrafficModel::background_load calls actually issued (cache misses);
-  /// with the per-instant cache this is at most one per link per clock
-  /// movement.
+  /// TrafficModel::background_load calls issued so far: one per
+  /// background() query on an up link.
   [[nodiscard]] std::size_t traffic_query_count() const {
     return traffic_query_count_;
   }
@@ -292,12 +291,6 @@ class FluidNetwork {
   bool check_reference_ = false;
   std::size_t reallocation_count_ = 0;
 
-  /// Per-instant background cache: value is min(raw trace load, capacity)
-  /// for the *up* link — independent of link state, so flaps need no
-  /// invalidation; clock movements bump the generation instead of clearing.
-  mutable std::vector<Mbps> bg_cache_;
-  mutable std::vector<std::uint64_t> bg_cache_gen_;
-  mutable std::uint64_t bg_gen_ = 1;
   mutable std::size_t traffic_query_count_ = 0;
 
   // Scratch buffers reused across reallocations (sized to flows/links) so

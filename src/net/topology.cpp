@@ -30,8 +30,8 @@ LinkId Topology::add_link(NodeId a, NodeId b, Mbps capacity,
   check_node(a);
   check_node(b);
   require(a != b, "Topology::add_link: self-loop");
-  require(!(capacity.value() <= 0.0),
-      "Topology::add_link: capacity must be positive");
+  require_positive_finite(capacity.value(),
+      "Topology::add_link: capacity must be positive and finite");
   const LinkId id{static_cast<LinkId::underlying_type>(links_.size())};
   if (name.empty()) {
     name = node_names_[a.value()] + "-" + node_names_[b.value()];

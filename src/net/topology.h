@@ -33,7 +33,8 @@ class Topology {
   NodeId add_node(std::string name);
 
   /// Adds an undirected link; endpoints must exist and differ, capacity must
-  /// be positive.  Duplicate (a,b) links are allowed (parallel links).
+  /// be positive and finite.  Duplicate (a,b) links are allowed (parallel
+  /// links).
   LinkId add_link(NodeId a, NodeId b, Mbps capacity, std::string name = {});
 
   [[nodiscard]] std::size_t node_count() const { return node_names_.size(); }

@@ -42,17 +42,18 @@ FlowId TransferManager::start_transfer(std::vector<LinkId> path,
                                        MegaBytes size, Mbps rate_cap,
                                        CompletionCallback on_complete,
                                        std::uint32_t weight) {
-  require(!(size.value() <= 0.0),
-      "TransferManager::start_transfer: size must be positive");
+  require_positive_finite(size.value(),
+      "TransferManager::start_transfer: size must be positive and finite");
   require(on_complete, "TransferManager::start_transfer: empty callback");
   const SimTime now = sim_.now();
   const BusyScope guard{busy_depth_};
-  advance_progress(now);
+  FluidNetwork::BatchGuard epoch = advance_progress(now);
   const FlowId id = network_.start_flow(std::move(path), rate_cap, weight);
   transfers_.insert(id, Transfer{size, std::move(on_complete)});
   // A transfer born at or below the done epsilon never crosses it during a
   // settle, so it becomes a completion candidate outright.
   if (size.value() <= kDoneEpsilonMb) drained_.push_back(id);
+  epoch.release();
   reschedule(now);
   return id;
 }
@@ -62,9 +63,10 @@ void TransferManager::cancel(FlowId id) {
       "TransferManager::cancel: unknown transfer");
   const SimTime now = sim_.now();
   const BusyScope guard{busy_depth_};
-  advance_progress(now);
+  FluidNetwork::BatchGuard epoch = advance_progress(now);
   transfers_.erase(id);
   network_.stop_flow(id);
+  epoch.release();
   reschedule(now);
 }
 
@@ -103,9 +105,11 @@ void TransferManager::settle_bytes(SimTime now) {
   last_progress_ = now;
 }
 
-void TransferManager::advance_progress(SimTime now) {
+FluidNetwork::BatchGuard TransferManager::advance_progress(SimTime now) {
   settle_bytes(now);
+  FluidNetwork::BatchGuard epoch = network_.defer_reallocate();
   if (network_.time() < now) network_.set_time(now);
+  return epoch;
 }
 
 void TransferManager::complete_finished(SimTime now) {
@@ -116,10 +120,11 @@ void TransferManager::complete_finished(SimTime now) {
   // mid-epoch rates, so the sweep finishes the same transfers the
   // per-mutation solve did.
   if (drained_.empty()) return;
-  // One allocation epoch for the whole sweep: a burst of simultaneous
-  // completions (and whatever transfers the callbacks start) re-solves the
-  // fair shares once when the guard releases, not once per stop_flow; the
-  // caller reschedules after this returns, reading the fresh rates.
+  // One allocation epoch for the whole sweep (nested in the wake-up's own
+  // epoch when called from refresh): a burst of simultaneous completions
+  // and whatever transfers the callbacks start re-solve the fair shares
+  // once when the outermost guard releases, not once per stop_flow; the
+  // caller reschedules after that, reading the fresh rates.
   const FluidNetwork::BatchGuard epoch = network_.defer_reallocate();
   for (;;) {
     // Deterministic pick: lowest flow id among the finished candidates
@@ -177,8 +182,9 @@ void TransferManager::reschedule(SimTime now) {
 void TransferManager::refresh(SimTime now) {
   pending_ = sim::EventHandle{};
   const BusyScope guard{busy_depth_};
-  advance_progress(now);
+  FluidNetwork::BatchGuard epoch = advance_progress(now);
   complete_finished(now);
+  epoch.release();
   reschedule(now);
 }
 

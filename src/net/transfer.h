@@ -33,8 +33,9 @@ class TransferManager {
   TransferManager(const TransferManager&) = delete;
   TransferManager& operator=(const TransferManager&) = delete;
 
-  /// Starts moving `size` across `path` (empty = local, runs at `rate_cap`).
-  /// `on_complete` fires exactly once unless the transfer is cancelled.
+  /// Starts moving `size` (positive and finite) across `path` (empty =
+  /// local, runs at `rate_cap`).  `on_complete` fires exactly once unless
+  /// the transfer is cancelled.
   /// `weight` is the flow's share multiplier in the fluid network's
   /// weighted max-min fill (1 = the classless default).
   FlowId start_transfer(std::vector<LinkId> path, MegaBytes size,
@@ -67,8 +68,10 @@ class TransferManager {
   /// Applies linear progress at current rates up to `now`, without touching
   /// the network clock.
   void settle_bytes(SimTime now);
-  /// settle_bytes + advance the network clock.
-  void advance_progress(SimTime now);
+  /// settle_bytes, then opens an allocation epoch and moves the network
+  /// clock inside it.  The caller applies its flow changes and releases the
+  /// epoch once `transfers_` is updated, so one operation costs one solve.
+  [[nodiscard]] FluidNetwork::BatchGuard advance_progress(SimTime now);
   /// Completes transfers that have drained; callbacks may start new ones.
   void complete_finished(SimTime now);
   /// Schedules the next wake-up (earliest completion or traffic change).

@@ -36,10 +36,6 @@ class Graph {
   /// not a signed weight — see DESIGN.md), and `link` must not repeat.
   void add_undirected_edge(NodeId a, NodeId b, LinkId link, double weight);
 
-  /// Updates the weight of an existing edge (both directions).
-  /// Throws std::out_of_range for unknown links.
-  void set_edge_weight(LinkId link, double weight);
-
   [[nodiscard]] std::size_t node_count() const { return adjacency_.size(); }
   [[nodiscard]] const std::vector<Edge>& neighbors(NodeId node) const;
   [[nodiscard]] const std::string& node_name(NodeId node) const;

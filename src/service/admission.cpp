@@ -35,14 +35,6 @@ Mbps AdmissionController::path_residual(const routing::Path& path,
   return residual;
 }
 
-bool AdmissionController::admit(const vra::Decision& decision,
-                                Mbps bitrate) const {
-  require(!(bitrate.value() <= 0.0), "AdmissionController: bad bitrate");
-  if (decision.served_locally) return true;
-  const Mbps residual = path_residual(decision.path, decision.path.source());
-  return residual.value() >= options_.required_headroom * bitrate.value();
-}
-
 bool AdmissionController::admit(const vra::Decision& decision, Mbps bitrate,
                                 UserClass cls) const {
   require(!(bitrate.value() <= 0.0), "AdmissionController: bad bitrate");

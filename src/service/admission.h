@@ -31,8 +31,8 @@ struct AdmissionOptions {
   /// class_index().  Lower classes demand more slack (their streams are
   /// the first shed, so admitting them right at the edge just converts
   /// admission into a deferred stall); premium can run closer to the
-  /// line.  All-ones = every class admitted exactly like the classless
-  /// check.
+  /// line.  All-ones = every class needs the same residual,
+  /// required_headroom x bitrate.
   std::array<double, kUserClassCount> class_headroom{1.0, 1.0, 1.0};
 };
 
@@ -48,14 +48,9 @@ class AdmissionController {
   [[nodiscard]] Mbps path_residual(const routing::Path& path,
                                    NodeId home) const;
 
-  /// Should this VRA decision be admitted for a title of `bitrate`?
-  /// Locally served sessions are always admitted (no network involved).
-  [[nodiscard]] bool admit(const vra::Decision& decision,
-                           Mbps bitrate) const;
-
-  /// Class-aware variant: the path must clear this class's headroom
-  /// (required_rate below).  kStandard with all-ones class_headroom is
-  /// exactly the classless check.
+  /// Should this VRA decision be admitted for a `cls` title of `bitrate`?
+  /// The path must clear this class's headroom (required_rate below);
+  /// locally served sessions are always admitted (no network involved).
   [[nodiscard]] bool admit(const vra::Decision& decision, Mbps bitrate,
                            UserClass cls) const;
 

@@ -418,7 +418,7 @@ VodService::AdmissionOutcome VodService::request_classed(
   // only by sacrificing strictly lower classes, and only when the whole
   // deficit is coverable (nobody is aborted for a plan that cannot fit
   // the request anyway).
-  if (qos && options_.qos.allow_preemption && !decision->served_locally) {
+  if (qos && !decision->served_locally) {
     const auto victims =
         plan_preemption(decision->path.links,
                         admission.required_rate(info->bitrate, cls), cls);

@@ -95,11 +95,11 @@ struct ClassPolicy {
 /// Tiered-QoS configuration.  Disabled (the default) keeps the service
 /// byte-identical to the classless paper behaviour: every class-aware
 /// branch collapses to the identity and no per-class metric is created.
+/// Enabled, a request that fails plain admission may preempt enough
+/// lower-class sessions (ranked class-descending, then youngest-first) to
+/// fit.
 struct QosOptions {
   bool enabled = false;
-  /// May a request that fails plain admission preempt enough lower-class
-  /// sessions (ranked class-descending, then youngest-first) to fit?
-  bool allow_preemption = true;
   /// Indexed by class_index(): premium, standard, background.
   std::array<ClassPolicy, kUserClassCount> policies{
       ClassPolicy{/*flow_weight=*/4, /*admission_headroom=*/1.0,

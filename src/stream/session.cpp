@@ -36,16 +36,16 @@ Session::Session(sim::Simulation& sim, net::TransferManager& transfers,
       options_(options),
       on_done_(std::move(on_done)) {
   require(home.valid(), "Session: invalid home node");
-  require(!(cluster_size.value() <= 0.0),
-      "Session: cluster size must be positive");
+  require_positive_finite(cluster_size.value(),
+      "Session: cluster size must be positive and finite");
+  require_positive_finite(options_.flow_cap.value(),
+      "Session: flow cap must be positive and finite");
   require(options_.prebuffer_clusters != 0,
       "Session: prebuffer must be >= 1 cluster");
   require(options_.flow_weight >= 1, "Session: flow weight must be >= 1");
   require(options_.stall_timeout_scale > 0.0,
       "Session: stall timeout scale must be positive");
   if (options_.stall_timeout_seconds == kAutoStallTimeout) {
-    require(!(options_.flow_cap.value() <= 0.0),
-        "Session: flow cap must be positive");
     stall_timeout_ =
         3.0 * cluster_size.megabits() / options_.flow_cap.value();
   } else if (options_.stall_timeout_seconds > 0.0) {

@@ -136,7 +136,8 @@ class Session {
   using DoneCallback = std::function<void(const Session&)>;
 
   /// References must outlive the session.  `cluster_size` is the striping
-  /// unit c; `video` comes from the catalog.
+  /// unit c; `video` comes from the catalog.  `cluster_size` and
+  /// `options.flow_cap` must be positive and finite.
   Session(sim::Simulation& sim, net::TransferManager& transfers,
           ServerSelectionPolicy& policy, db::VideoInfo video, NodeId home,
           MegaBytes cluster_size, SessionOptions options = {},

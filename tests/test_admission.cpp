@@ -82,18 +82,20 @@ TEST(AdmissionController, AdmitComparesAgainstBitrateTimesHeadroom) {
   decision.path = routing::Path{{fx.g.patra, fx.g.athens},
                                 {fx.g.patra_athens}, 0.1};
   // Residual 1.8: a 1.5 Mbps title fits, a 2.5 Mbps one does not.
-  EXPECT_TRUE(strict.admit(decision, Mbps{1.5}));
-  EXPECT_FALSE(strict.admit(decision, Mbps{2.5}));
+  EXPECT_TRUE(strict.admit(decision, Mbps{1.5}, UserClass::kStandard));
+  EXPECT_FALSE(strict.admit(decision, Mbps{2.5}, UserClass::kStandard));
   // With 1.5x headroom even 1.5 Mbps is rejected (needs 2.25).
   const AdmissionController cautious{fx.db.limited_view(kAdmin),
                                      {.required_headroom = 1.5}};
-  EXPECT_FALSE(cautious.admit(decision, Mbps{1.5}));
+  EXPECT_FALSE(cautious.admit(decision, Mbps{1.5}, UserClass::kStandard));
 }
 
 TEST(AdmissionController, ClassedAdmitMatchesPlainAtUnitHeadroom) {
   Fixture fx;
-  // Default class_headroom is all-ones: the classed overload must agree
-  // with the classless one for every class (the single-class guarantee).
+  // Default class_headroom is all-ones: every class gets the plain
+  // residual >= headroom x bitrate verdict (the single-class guarantee).
+  // Residual 1.8 (see ResidualIsBottleneckFreeBandwidth): 1.5 Mbps fits,
+  // 2.5 Mbps does not.
   const AdmissionController admission{fx.db.limited_view(kAdmin),
                                       {.required_headroom = 1.0}};
   vra::Decision decision;
@@ -101,12 +103,11 @@ TEST(AdmissionController, ClassedAdmitMatchesPlainAtUnitHeadroom) {
   decision.server = fx.g.athens;
   decision.path = routing::Path{{fx.g.patra, fx.g.athens},
                                 {fx.g.patra_athens}, 0.1};
-  for (const Mbps bitrate : {Mbps{1.5}, Mbps{2.5}}) {
-    const bool plain = admission.admit(decision, bitrate);
-    EXPECT_EQ(plain, admission.admit(decision, bitrate, UserClass::kPremium));
-    EXPECT_EQ(plain, admission.admit(decision, bitrate, UserClass::kStandard));
-    EXPECT_EQ(plain,
-              admission.admit(decision, bitrate, UserClass::kBackground));
+  for (const UserClass cls : {UserClass::kPremium, UserClass::kStandard,
+                              UserClass::kBackground}) {
+    EXPECT_TRUE(admission.admit(decision, Mbps{1.5}, cls));
+    EXPECT_FALSE(admission.admit(decision, Mbps{2.5}, cls));
+    EXPECT_EQ(admission.required_rate(Mbps{2.5}, cls), Mbps{2.5});
   }
 }
 
@@ -159,7 +160,7 @@ TEST(AdmissionController, LocalServingAlwaysAdmitted) {
   decision.served_locally = true;
   decision.server = fx.g.patra;
   decision.path = routing::Path{{fx.g.patra}, {}, 0.0};
-  EXPECT_TRUE(admission.admit(decision, Mbps{50.0}));
+  EXPECT_TRUE(admission.admit(decision, Mbps{50.0}, UserClass::kStandard));
 }
 
 TEST(AdmissionController, RejectsBadBitrate) {
@@ -167,7 +168,8 @@ TEST(AdmissionController, RejectsBadBitrate) {
   const AdmissionController admission{fx.db.limited_view(kAdmin)};
   vra::Decision decision;
   decision.served_locally = true;
-  EXPECT_THROW(admission.admit(decision, Mbps{0.0}), std::invalid_argument);
+  EXPECT_THROW(admission.admit(decision, Mbps{0.0}, UserClass::kStandard),
+               std::invalid_argument);
 }
 
 // --- Service-level admission ---

@@ -5,18 +5,24 @@
 // including the severed-path and kMinFlowRate floor edge cases.  Flows are
 // started with random class weights (1..8), so the weighted fill (integer
 // weight sums, delta x weight increments) is exercised against the oracle's
-// per-round recomputation on every seed.  Exact double equality throughout:
-// the determinism gates depend on it.
+// per-round recomputation on every seed.  A second script drives the same
+// network through a TransferManager, whose operations each batch a settle,
+// a clock move and a flow change (or completion sweep) into one allocation
+// epoch.  Exact double equality throughout: the determinism gates depend
+// on it.
 #include "net/fluid.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "net/transfer.h"
+#include "sim/simulation.h"
 
 namespace vod::net {
 namespace {
@@ -92,6 +98,15 @@ void expect_matches_reference(const FluidNetwork& network,
   }
 }
 
+/// A random contiguous sub-path of the fixture's line.
+std::vector<LinkId> random_path(Rng& rng, const Fixture& fx) {
+  const auto first = static_cast<std::size_t>(rng.uniform_int(0, 4));
+  const auto last = static_cast<std::size_t>(
+      rng.uniform_int(static_cast<std::int64_t>(first), 4));
+  return std::vector<LinkId>(fx.links.begin() + first,
+                             fx.links.begin() + last + 1);
+}
+
 class FluidDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(FluidDifferential, IndexedAllocatorMatchesReferenceExactly) {
@@ -107,19 +122,12 @@ TEST_P(FluidDifferential, IndexedAllocatorMatchesReferenceExactly) {
   int severed_seen = 0;
   int floor_seen = 0;
 
-  const auto random_path = [&] {
-    const auto first = static_cast<std::size_t>(rng.uniform_int(0, 4));
-    const auto last = static_cast<std::size_t>(rng.uniform_int(
-        static_cast<std::int64_t>(first), 4));
-    return std::vector<LinkId>(fx.links.begin() + first,
-                               fx.links.begin() + last + 1);
-  };
   const auto start_one = [&] {
     // Mixed weights: weight 1 (the classless default) stays common so the
     // unweighted reduction keeps coverage alongside the weighted one.
     const auto weight = static_cast<std::uint32_t>(
         rng.bernoulli(0.4) ? 1 : rng.uniform_int(2, 8));
-    live.push_back(network.start_flow(random_path(),
+    live.push_back(network.start_flow(random_path(rng, fx),
                                       Mbps{rng.uniform(0.5, 30.0)}, weight));
   };
   const auto mutate_once = [&] {
@@ -183,6 +191,59 @@ TEST_P(FluidDifferential, IndexedAllocatorMatchesReferenceExactly) {
   // the fixture (flappable links, saturating traces) makes both common.
   EXPECT_GT(severed_seen + floor_seen, 0)
       << "script never hit a severed or floor-rate flow; fixture too tame";
+}
+
+TEST_P(FluidDifferential, TransferDrivenStepsMatchReference) {
+  Rng rng{static_cast<std::uint64_t>(GetParam()) * 104729 + 3};
+  Fixture fx{rng};
+  FluidNetwork network{fx.topo, fx.traffic};
+  // Every solve the manager's epochs trigger — start, cancel, wake-up — is
+  // also re-solved by the reference inside reallocate().
+  network.set_check_against_reference(true);
+  sim::Simulation sim;
+  TransferManager manager{sim, network};
+
+  std::vector<FlowId> live;  // ascending by id (ids are monotonic)
+  int completed = 0;
+  const auto retire = [&](FlowId id) {
+    live.erase(std::find(live.begin(), live.end(), id));
+  };
+  const auto start_one = [&] {
+    // The completion callback needs the id start_transfer returns; it can
+    // only fire from a later event, after the box is filled.
+    auto id = std::make_shared<FlowId>();
+    *id = manager.start_transfer(
+        random_path(rng, fx), MegaBytes{rng.uniform(0.5, 20.0)},
+        Mbps{rng.uniform(0.5, 30.0)},
+        [&, id](SimTime) {
+          retire(*id);
+          ++completed;
+        },
+        static_cast<std::uint32_t>(rng.uniform_int(1, 4)));
+    live.push_back(*id);
+  };
+
+  for (int step = 0; step < 40; ++step) {
+    // Wake-ups in between settle, complete and cross background steps.
+    sim.run_until(sim.now() + Duration{rng.uniform(0.5, 15.0)});
+    if (!live.empty() && rng.bernoulli(0.3)) {
+      const auto victim = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      const FlowId id = live[victim];
+      manager.cancel(id);
+      retire(id);
+    } else {
+      start_one();
+    }
+    ASSERT_EQ(manager.active_count(), live.size());
+    expect_matches_reference(network, fx, live);
+  }
+  // Drain: every transfer not cancelled completes (no link ever goes down
+  // here, so each keeps at least the trickle rate).
+  sim.run();
+  EXPECT_TRUE(live.empty());
+  EXPECT_EQ(network.active_flow_count(), 0u);
+  EXPECT_GT(completed, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FluidDifferential, ::testing::Range(0, 24));

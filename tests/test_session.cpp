@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace vod::stream {
@@ -365,14 +366,28 @@ TEST(Session, ValidatesConstruction) {
   EXPECT_THROW(Session(fx.sim, fx.transfers, policy, fx.video(40.0, 2.0),
                        NodeId{}, MegaBytes{10.0}),
                std::invalid_argument);
-  EXPECT_THROW(Session(fx.sim, fx.transfers, policy, fx.video(40.0, 2.0),
-                       fx.client, MegaBytes{0.0}),
-               std::invalid_argument);
   SessionOptions bad;
   bad.prebuffer_clusters = 0;
   EXPECT_THROW(Session(fx.sim, fx.transfers, policy, fx.video(40.0, 2.0),
                        fx.client, MegaBytes{10.0}, bad),
                std::invalid_argument);
+  for (const double value : {0.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(Session(fx.sim, fx.transfers, policy, fx.video(40.0, 2.0),
+                         fx.client, MegaBytes{value}),
+                 std::invalid_argument) << value;
+    // The flow cap is checked whether or not the stall timeout is derived
+    // from it.
+    SessionOptions bad_cap;
+    bad_cap.flow_cap = Mbps{value};
+    EXPECT_THROW(Session(fx.sim, fx.transfers, policy, fx.video(40.0, 2.0),
+                         fx.client, MegaBytes{10.0}, bad_cap),
+                 std::invalid_argument) << value;
+    bad_cap.stall_timeout_seconds = 30.0;
+    EXPECT_THROW(Session(fx.sim, fx.transfers, policy, fx.video(40.0, 2.0),
+                         fx.client, MegaBytes{10.0}, bad_cap),
+                 std::invalid_argument) << value;
+  }
 }
 
 TEST(Session, DoubleStartThrows) {

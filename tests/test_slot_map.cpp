@@ -51,24 +51,21 @@ TEST(SlotMap, InsertRejectsInvalidDuplicateAndRetiredIds) {
   EXPECT_EQ(map.at(id(8), "missing"), "eight");
 }
 
-TEST(SlotMap, StaleHandleRejected) {
+TEST(SlotMap, ErasedIdMissesAfterSlotReuse) {
   Map map;
   map.insert(id(0), "first");
-  const Map::Handle handle = map.handle_of(id(0));
-  ASSERT_NE(map.get(handle), nullptr);
-  EXPECT_EQ(*map.get(handle), "first");
-
+  const std::uint32_t slot = map.slot_of(id(0));
   map.erase(id(0));
-  // The slot is free: the stale handle must miss, not alias freed storage.
-  EXPECT_EQ(map.get(handle), nullptr);
+  EXPECT_EQ(map.find(id(0)), nullptr);
 
-  // Recycle the same slot for a new id; the old handle must still miss
-  // (generation moved on) while a fresh handle resolves.
+  // Recycle the same slot for a new id: the retired id must still miss
+  // rather than alias the new entry, which resolves by its own id.
   map.insert(id(1), "second");
-  EXPECT_EQ(map.slot_of(id(1)), handle.slot);  // slot actually reused
-  EXPECT_EQ(map.get(handle), nullptr);
-  ASSERT_NE(map.get(map.handle_of(id(1))), nullptr);
-  EXPECT_EQ(*map.get(map.handle_of(id(1))), "second");
+  EXPECT_EQ(map.slot_of(id(1)), slot);  // slot actually reused
+  EXPECT_EQ(map.find(id(0)), nullptr);
+  EXPECT_FALSE(map.contains(id(0)));
+  EXPECT_EQ(map.at(id(1), "missing"), "second");
+  EXPECT_EQ(map.slot_value(slot), "second");
 }
 
 TEST(SlotMap, FreeListReuseKeepsIterationDeterministic) {

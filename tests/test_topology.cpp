@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace vod::net {
@@ -66,8 +67,12 @@ TEST(Topology, RejectsNonPositiveCapacity) {
   Topology topo;
   const NodeId a = topo.add_node("a");
   const NodeId b = topo.add_node("b");
-  EXPECT_THROW(topo.add_link(a, b, Mbps{0.0}), std::invalid_argument);
-  EXPECT_THROW(topo.add_link(a, b, Mbps{-2.0}), std::invalid_argument);
+  for (const double bad : {0.0, -2.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(topo.add_link(a, b, Mbps{bad}), std::invalid_argument)
+        << bad;
+  }
+  EXPECT_EQ(topo.link_count(), 0u);
 }
 
 TEST(Topology, RejectsUnknownEndpoints) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -191,12 +192,17 @@ TEST(TransferManager, RejectsBadArguments) {
   FluidNetwork network{fx.topo, fx.no_traffic};
   sim::Simulation sim;
   TransferManager manager{sim, network};
-  EXPECT_THROW(manager.start_transfer({fx.ab}, MegaBytes{0.0}, Mbps{1.0},
-                                      [](SimTime) {}),
-               std::invalid_argument);
+  for (const double bad : {0.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(manager.start_transfer({fx.ab}, MegaBytes{bad}, Mbps{1.0},
+                                        [](SimTime) {}),
+                 std::invalid_argument) << bad;
+  }
   EXPECT_THROW(manager.start_transfer({fx.ab}, MegaBytes{1.0}, Mbps{1.0},
                                       TransferManager::CompletionCallback{}),
                std::invalid_argument);
+  EXPECT_EQ(manager.active_count(), 0u);
+  EXPECT_EQ(network.active_flow_count(), 0u);
 }
 
 TEST(TransferManager, ManySequentialTransfersStayExact) {
@@ -235,12 +241,40 @@ TEST(TransferManager, SimultaneousCompletionsShareOneReallocation) {
   const std::size_t before = network.reallocation_count();
   sim.run();
   EXPECT_EQ(completed, 4);
-  // One reallocation for the time advance that lands on the completion
-  // instant, one for the whole four-flow teardown sweep (which empties the
-  // network, so the epoch's close itself skips the solve) — not one per
-  // stop_flow.
-  EXPECT_LE(network.reallocation_count() - before, 2u);
+  // The wake-up's clock move and the four-flow teardown share one epoch,
+  // which closes on an empty network, so no progressive filling runs at
+  // all — not one per stop_flow, nor one for the clock move.
+  EXPECT_EQ(network.reallocation_count() - before, 0u);
   EXPECT_EQ(network.active_flow_count(), 0u);
+}
+
+TEST(TransferManager, StartAtNewInstantCostsOneReallocation) {
+  Fixture fx;
+  FluidNetwork network{fx.topo, fx.no_traffic};
+  sim::Simulation sim;
+  TransferManager manager{sim, network};
+
+  // 8 MB alone on the 8 Mbps link a-b; at t = 2 a 1 MB transfer joins it
+  // across a-b-c.  The clock move, the settle and the new flow are one
+  // allocation epoch: one progressive filling, not one per mutation.
+  std::vector<double> completions;
+  const auto record = [&](SimTime t) { completions.push_back(t.seconds()); };
+  manager.start_transfer({fx.ab}, MegaBytes{8.0}, Mbps{100.0}, record);
+  std::optional<std::size_t> cost;
+  sim.schedule_at(SimTime{2.0}, [&](SimTime) {
+    const std::size_t before = network.reallocation_count();
+    manager.start_transfer({fx.ab, fx.bc}, MegaBytes{1.0}, Mbps{100.0},
+                           record);
+    cost = network.reallocation_count() - before;
+  });
+  sim.run();
+  ASSERT_TRUE(cost.has_value());
+  EXPECT_EQ(*cost, 1u);
+  // Shares stay exact: 4 Mbps each from t = 2, so the 1 MB finishes at
+  // t = 4; the 8 MB has 5 MB left then and finishes at t = 9.
+  ASSERT_EQ(completions.size(), 2u);
+  EXPECT_NEAR(completions[0], 4.0, 1e-9);
+  EXPECT_NEAR(completions[1], 9.0, 1e-9);
 }
 
 }  // namespace
