@@ -106,6 +106,20 @@ for workload in remote_wide local_churn contended_storm; do
   python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
     --trace 1 > "build/ci_perfbench_${workload}.out"
 done
+# Exact work-counter gate: on remote_wide no link saturates, so nearly every
+# transfer start, stop and wake-up must take a fluid fast path (a full
+# solve per session was 5.0 before them; seed 1 now solves once per run).
+# The counter is deterministic, so this catches a fast path that silently
+# stops applying without any timing noise.
+python3 - build/ci_perfbench_remote_wide.out <<'PY'
+import json, sys
+result = json.loads(open(sys.argv[1]).read().strip().splitlines()[-1])
+per_session = result["metrics"]["fluid.reallocations_per_session"]["value"]
+if not result["correct"] or per_session > 0.01:
+    sys.exit(f"remote_wide: correct={result['correct']}, "
+             f"fluid.reallocations_per_session={per_session} (gate 0.01)")
+print(f"remote_wide fluid.reallocations_per_session {per_session:.6f} <= 0.01")
+PY
 
 echo "==== qos gate (tiered classes under storm) ===="
 # Seeded fault storm at >=90% bottleneck utilization: premium availability

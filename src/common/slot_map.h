@@ -5,8 +5,9 @@
 // chasing, per-entry heap allocation and O(log n) lookups for ordering the
 // key sequence already provides.  SlotMap replaces it with two flat arrays:
 //
-//   * a slot vector holding the values contiguously (free slots recycled
-//     through a free list), and
+//   * slots in fixed-size chunks, so values never move and capacity grows
+//     one chunk at a time instead of doubling (free slots recycled through
+//     a free list), and
 //   * a sliding id->slot window: ids below the window base are known
 //     retired, so the index occupies O(active + churn window) no matter how
 //     many ids a long run burns through.
@@ -23,7 +24,6 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -47,11 +47,11 @@ class SlotMap {
 
   [[nodiscard]] T* find(Id id) {
     const std::uint32_t slot = slot_index(id);
-    return slot == kNpos ? nullptr : &*slots_[slot].value;
+    return slot == kNpos ? nullptr : &slot_at(slot).value;
   }
   [[nodiscard]] const T* find(Id id) const {
     const std::uint32_t slot = slot_index(id);
-    return slot == kNpos ? nullptr : &*slots_[slot].value;
+    return slot == kNpos ? nullptr : &slot_at(slot).value;
   }
 
   /// Lookup that must succeed; throws std::out_of_range with `what`.
@@ -86,18 +86,20 @@ class SlotMap {
     ensure(window_[pos] == kNpos, "SlotMap::insert: duplicate id");
     std::uint32_t slot;
     if (free_.empty()) {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.emplace_back();
+      if ((slot_count_ & kChunkMask) == 0) {
+        chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+      }
+      slot = slot_count_++;
     } else {
       slot = free_.back();
       free_.pop_back();
     }
-    Slot& s = slots_[slot];
+    Slot& s = slot_at(slot);
+    ::new (static_cast<void*>(&s.value)) T(std::move(value));
     s.id = id;
-    s.value.emplace(std::move(value));
     window_[pos] = slot;
     ++size_;
-    return *s.value;
+    return s.value;
   }
 
   /// Erases an entry (throws std::out_of_range if absent): the slot joins
@@ -108,8 +110,8 @@ class SlotMap {
     require_found(slot != kNpos, "SlotMap::erase: unknown id");
     const std::size_t pos =
         head_ + static_cast<std::size_t>(id.value() - window_start_);
-    Slot& s = slots_[slot];
-    s.value.reset();
+    Slot& s = slot_at(slot);
+    s.value.~T();
     s.id = Id{};
     free_.push_back(slot);
     window_[pos] = kNpos;
@@ -124,7 +126,8 @@ class SlotMap {
     for (std::size_t pos = head_; pos < window_.size(); ++pos) {
       const std::uint32_t slot = window_[pos];
       if (slot == kNpos) continue;
-      f(slots_[slot].id, *slots_[slot].value);
+      Slot& s = slot_at(slot);
+      f(s.id, s.value);
     }
   }
   template <typename F>
@@ -132,7 +135,8 @@ class SlotMap {
     for (std::size_t pos = head_; pos < window_.size(); ++pos) {
       const std::uint32_t slot = window_[pos];
       if (slot == kNpos) continue;
-      f(slots_[slot].id, *slots_[slot].value);
+      const Slot& s = slot_at(slot);
+      f(s.id, s.value);
     }
   }
 
@@ -147,10 +151,14 @@ class SlotMap {
 
   /// Direct slot access (no id lookup); the slot must hold a live entry.
   [[nodiscard]] T& slot_value(std::uint32_t slot) {
-    return *slots_[slot].value;
+    return slot_at(slot).value;
   }
   [[nodiscard]] const T& slot_value(std::uint32_t slot) const {
-    return *slots_[slot].value;
+    return slot_at(slot).value;
+  }
+  /// Id of the live entry in a slot (no id lookup).
+  [[nodiscard]] Id slot_id(std::uint32_t slot) const {
+    return slot_at(slot).id;
   }
 
   // ---- introspection (tests / memory accounting) ----
@@ -163,13 +171,33 @@ class SlotMap {
   }
   /// Slots ever allocated — bounded by the high-water mark of concurrent
   /// entries, not by total ids issued.
-  [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
+  [[nodiscard]] std::size_t slot_count() const { return slot_count_; }
 
  private:
+  /// A slot holds a live value exactly when its id is valid — the id is
+  /// the occupancy flag, so a slot costs no more than the id plus T.
   struct Slot {
     Id id{};
-    std::optional<T> value;
+    union {
+      T value;
+    };
+
+    Slot() {}
+    Slot(const Slot&) = delete;
+    Slot& operator=(const Slot&) = delete;
+    ~Slot() {
+      if (id.valid()) value.~T();
+    }
   };
+  static constexpr std::uint32_t kChunkSlots = 64;
+  static constexpr std::uint32_t kChunkMask = kChunkSlots - 1;
+
+  [[nodiscard]] Slot& slot_at(std::uint32_t slot) {
+    return chunks_[slot / kChunkSlots][slot & kChunkMask];
+  }
+  [[nodiscard]] const Slot& slot_at(std::uint32_t slot) const {
+    return chunks_[slot / kChunkSlots][slot & kChunkMask];
+  }
 
   [[nodiscard]] std::uint32_t slot_index(Id id) const {
     if (!id.valid() || id.value() < window_start_) return kNpos;
@@ -197,7 +225,8 @@ class SlotMap {
     }
   }
 
-  std::vector<Slot> slots_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slot_count_ = 0;      // slots ever allocated
   std::vector<std::uint32_t> free_;
   std::vector<std::uint32_t> window_;  // window: id -> slot (kNpos = absent)
   std::size_t head_ = 0;              // first live position in window_
@@ -215,7 +244,7 @@ class ObjectPool {
                 "ObjectPool: over-aligned types need aligned chunks");
 
  public:
-  static constexpr std::size_t kChunkObjects = 256;
+  static constexpr std::size_t kChunkObjects = 64;
 
   ObjectPool() = default;
   ObjectPool(const ObjectPool&) = delete;

@@ -1,5 +1,6 @@
 #include "dma/dma_cache.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/contract.h"
@@ -27,8 +28,20 @@ DmaCache::DmaCache(storage::DiskArray& disks, DmaOptions options,
     : disks_(disks), options_(options), callbacks_(std::move(callbacks)) {}
 
 std::uint64_t DmaCache::points(VideoId video) const {
-  const auto it = points_.find(video);
-  return it == points_.end() ? 0 : it->second;
+  const auto it = std::lower_bound(
+      points_.begin(), points_.end(), video,
+      [](const auto& entry, VideoId id) { return entry.first < id; });
+  return it == points_.end() || it->first != video ? 0 : it->second;
+}
+
+std::uint64_t& DmaCache::points_of(VideoId video) {
+  auto it = std::lower_bound(
+      points_.begin(), points_.end(), video,
+      [](const auto& entry, VideoId id) { return entry.first < id; });
+  if (it == points_.end() || it->first != video) {
+    it = points_.insert(it, {video, 0});
+  }
+  return it->second;
 }
 
 std::optional<VideoId> DmaCache::least_popular_cached() const {
@@ -81,18 +94,18 @@ DmaOutcome DmaCache::on_request(VideoId video, MegaBytes size) {
 
   // "IF (Video is already on disk) THEN give a point"
   if (cached(video)) {
-    ++points_[video];
+    const std::uint64_t points = ++points_of(video);
     ++hits_;
-    trace_dma("dma.hit", trace_node_, video, points_[video]);
+    trace_dma("dma.hit", trace_node_, video, points);
     return DmaOutcome::kHit;
   }
 
   // Admission gate (text variant); with threshold 0 this is Figure 2: an
   // uncached title may be written on its very first request.
   if (options_.admission_threshold > 0) {
-    ++points_[video];
-    if (points_[video] <= options_.admission_threshold) {
-      trace_dma("dma.point", trace_node_, video, points_[video]);
+    const std::uint64_t points = ++points_of(video);
+    if (points <= options_.admission_threshold) {
+      trace_dma("dma.point", trace_node_, video, points);
       return DmaOutcome::kPointedOnly;
     }
     if (disks_.can_tolerate(size) && try_store(video, size)) {
@@ -104,7 +117,7 @@ DmaOutcome DmaCache::on_request(VideoId video, MegaBytes size) {
       return DmaOutcome::kStored;
     }
     // "ELSE give a point to video"
-    ++points_[video];
+    ++points_of(video);
   }
 
   // "IF (Video's points > Least popular on disk Video's points) THEN

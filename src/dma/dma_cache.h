@@ -23,8 +23,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -103,7 +103,12 @@ class DmaCache {
   DmaOptions options_;
   DmaCallbacks callbacks_;
   std::uint32_t trace_node_ = 0;
-  std::map<VideoId, std::uint64_t> points_;
+  /// The title's point counter, created at zero on first use.
+  std::uint64_t& points_of(VideoId video);
+
+  /// Per-title points, ascending by title id (a flat sorted vector: a few
+  /// dozen titles per home, no per-entry node).
+  std::vector<std::pair<VideoId, std::uint64_t>> points_;
   std::uint64_t hits_ = 0;
   std::uint64_t stores_ = 0;
   std::uint64_t evictions_ = 0;

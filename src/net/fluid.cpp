@@ -10,56 +10,66 @@
 
 namespace vod::net {
 
+namespace {
+// A flow freezes once its rate is within this of its cap, and a link
+// binds once its residual falls to this (the filler's own tolerance).
+constexpr double kFreezeEps = 1e-12;
+}  // namespace
+
 FluidNetwork::FluidNetwork(const Topology& topology,
                            const TrafficModel& traffic)
     : topology_(topology), traffic_(traffic) {}
 
-void FluidNetwork::set_change_hooks(std::function<void()> pre,
-                                    std::function<void()> post) {
-  pre_change_hook_ = std::move(pre);
-  post_change_hook_ = std::move(post);
+void FluidNetwork::set_change_hook(std::function<void()> hook) {
+  change_hook_ = std::move(hook);
+  rate_changes_.clear();
 }
 
 bool FluidNetwork::pre_mutation() {
-  if (batch_depth_ == 0) {
-    pre_change();
-    return false;
-  }
-  if (!batch_dirty_) {
-    // First mutation of the epoch: subscribers settle at the old rates
-    // once, however many mutations follow before the epoch closes.
-    batch_dirty_ = true;
-    pre_change();
-  }
+  if (batch_depth_ == 0) return false;
+  batch_dirty_ = true;
   return true;
 }
 
+void FluidNetwork::stamp(FlowId id, Flow& flow, Mbps rate) {
+  if (rate.value() == flow.rate.value()) return;
+  if (change_hook_) rate_changes_.push_back(RateChange{id, flow.rate});
+  flow.rate = rate;
+}
+
 void FluidNetwork::commit_mutation() {
-  // Empty-network fast path: with no flows there are no shares to solve,
-  // so a clock move / link flap / final stop_flow skips the residual walk.
-  if (flows_.empty()) {
-    pending_local_.clear();
-    post_change();
-    return;
-  }
-  // All-local fast path: a pathless flow's max-min share is exactly
-  // max(cap, kMinFlowRate) — independent of links, background traffic and
-  // every other flow, and bit-identical to what reallocate() assigns it
-  // (pathless flows are frozen at cap before any filling round).  With no
-  // linked flow active, only the flows touched since the last solve need
-  // their rate stamped.  Disabled under the reference self-check, which
-  // wants every solve to run the full filler.
-  if (linked_flow_count_ == 0 && !check_reference_) {
-    for (const FlowId id : pending_local_) {
+  if (linked_flow_count_ == 0) {
+    // All-local (or empty) network: nothing to solve.  The next linked
+    // flow finds no solve describing it and solves in full.
+    invalidate_solve();
+  } else if (stale_ || (clock_moved_ && background_moved()) ||
+             (linked_changed_ && !round_one_holds())) {
+    reallocate();
+  } else {
+    // Fast path (b): the last solve's first round still holds, so every
+    // flow started since keeps delta x weight — exactly what the filler's
+    // single round would give it — and no other linked flow moves.
+    for (const FlowId id : pending_linked_) {
       Flow* flow = flows_.find(id);  // stopped mid-epoch -> skip
-      if (flow != nullptr) flow->rate = std::max(flow->cap, kMinFlowRate);
+      if (flow == nullptr) continue;
+      stamp(id, *flow,
+            std::max(Mbps{round_one_delta_ *
+                          static_cast<double>(flow->weight)},
+                     kMinFlowRate));
     }
-    pending_local_.clear();
-    post_change();
-    return;
   }
-  reallocate();
+  // Fast path (a): a pathless flow's max-min share is exactly
+  // max(cap, kMinFlowRate) — independent of links, background traffic and
+  // every other flow (reallocate() freezes it at cap before any round).
+  for (const FlowId id : pending_local_) {
+    Flow* flow = flows_.find(id);  // stopped mid-epoch -> skip
+    if (flow != nullptr) stamp(id, *flow, std::max(flow->cap, kMinFlowRate));
+  }
   pending_local_.clear();
+  pending_linked_.clear();
+  clock_moved_ = false;
+  linked_changed_ = false;
+  if (check_reference_) check_reference();
   post_change();
 }
 
@@ -76,22 +86,24 @@ void FluidNetwork::set_time(SimTime t) {
   if (t == now_) return;
   const bool deferred = pre_mutation();
   now_ = t;
+  clock_moved_ = true;
   if (!deferred) commit_mutation();
 }
 
 void FluidNetwork::ensure_index_size() {
   if (link_flows_.size() < topology_.link_count()) {
     link_flows_.resize(topology_.link_count());
+    link_weight_.resize(topology_.link_count(), 0);
   }
 }
 
-void FluidNetwork::index_insert(FlowId id, std::uint32_t slot,
-                                const Flow& flow) {
+void FluidNetwork::index_insert(std::uint32_t slot, const Flow& flow) {
   ensure_index_size();
   for (const LinkId link : flow.links) {
     // Flow ids are handed out monotonically, so appending keeps each
     // per-link list sorted ascending by id.
-    link_flows_[link.value()].push_back(IndexEntry{id, slot});
+    link_flows_[link.value()].push_back(slot);
+    link_weight_[link.value()] += flow.weight;
   }
 }
 
@@ -100,10 +112,13 @@ void FluidNetwork::index_remove(FlowId id, const Flow& flow) {
     auto& list = link_flows_[link.value()];
     const auto it = std::lower_bound(
         list.begin(), list.end(), id,
-        [](const IndexEntry& e, FlowId needle) { return e.id < needle; });
-    ensure(it != list.end() && it->id == id,
+        [&](std::uint32_t slot, FlowId needle) {
+          return flows_.slot_id(slot) < needle;
+        });
+    ensure(it != list.end() && flows_.slot_id(*it) == id,
         "FluidNetwork: incidence index out of sync");
     list.erase(it);
+    link_weight_[link.value()] -= flow.weight;
   }
 }
 
@@ -118,17 +133,21 @@ FlowId FluidNetwork::start_flow(std::vector<LinkId> path, Mbps rate_cap,
   }
   const bool deferred = pre_mutation();
   const FlowId id{next_flow_++};
-  Flow& flow = flows_.insert(id, Flow{std::move(path), {}, rate_cap,
-                                      Mbps{0.0}, weight});
-  flow.links = flow.path;
-  std::sort(flow.links.begin(), flow.links.end());
-  flow.links.erase(std::unique(flow.links.begin(), flow.links.end()),
-                   flow.links.end());
-  index_insert(id, flows_.slot_of(id), flow);
+  std::sort(path.begin(), path.end());
+  path.erase(std::unique(path.begin(), path.end()), path.end());
+  Flow& flow =
+      flows_.insert(id, Flow{std::move(path), rate_cap, Mbps{0.0}, weight});
+  index_insert(flows_.slot_of(id), flow);
   if (flow.links.empty()) {
     pending_local_.push_back(id);
   } else {
     ++linked_flow_count_;
+    linked_changed_ = true;
+    pending_linked_.push_back(id);
+    if (round_one_ &&
+        rate_cap.value() / static_cast<double>(weight) == round_one_delta_) {
+      ++round_one_ties_;
+    }
   }
   if (!deferred) commit_mutation();
   return id;
@@ -139,7 +158,15 @@ void FluidNetwork::stop_flow(FlowId flow) {
   require_found(entry != nullptr, "FluidNetwork::stop_flow: unknown flow");
   const bool deferred = pre_mutation();
   index_remove(flow, *entry);
-  if (!entry->links.empty()) --linked_flow_count_;
+  if (!entry->links.empty()) {
+    --linked_flow_count_;
+    linked_changed_ = true;
+    if (round_one_ && entry->cap.value() /
+                              static_cast<double>(entry->weight) ==
+                          round_one_delta_) {
+      --round_one_ties_;
+    }
+  }
   flows_.erase(flow);
   if (!deferred) commit_mutation();
 }
@@ -153,7 +180,11 @@ void FluidNetwork::set_flow_cap(FlowId flow, Mbps rate_cap) {
   if (entry->cap == rate_cap) return;  // no state change
   const bool deferred = pre_mutation();
   entry->cap = rate_cap;
-  if (entry->links.empty()) pending_local_.push_back(flow);
+  if (entry->links.empty()) {
+    pending_local_.push_back(flow);
+  } else {
+    invalidate_solve();
+  }
   if (!deferred) commit_mutation();
 }
 
@@ -169,10 +200,10 @@ std::uint32_t FluidNetwork::flow_weight(FlowId flow) const {
   return entry->weight;
 }
 
-const std::vector<LinkId>& FluidNetwork::flow_path(FlowId flow) const {
+const std::vector<LinkId>& FluidNetwork::flow_links(FlowId flow) const {
   const Flow* entry = flows_.find(flow);
-  require_found(entry != nullptr, "FluidNetwork::flow_path: unknown flow");
-  return entry->path;
+  require_found(entry != nullptr, "FluidNetwork::flow_links: unknown flow");
+  return entry->links;
 }
 
 void FluidNetwork::set_link_up(LinkId link, bool up) {
@@ -184,6 +215,7 @@ void FluidNetwork::set_link_up(LinkId link, bool up) {
   if (link_down_[link.value()] == !up) return;  // no state change
   const bool deferred = pre_mutation();
   link_down_[link.value()] = !up;
+  invalidate_solve();
   if (!deferred) commit_mutation();
 }
 
@@ -208,13 +240,66 @@ Mbps FluidNetwork::background(LinkId link) const {
                   topology_.link(link).capacity);
 }
 
+double FluidNetwork::read_background(std::size_t link) const {
+  return background(LinkId{static_cast<LinkId::underlying_type>(link)})
+      .value();
+}
+
+double FluidNetwork::residual_of(std::size_t link, double background) const {
+  const LinkId id{static_cast<LinkId::underlying_type>(link)};
+  return link_up(id) ? std::max(0.0, (topology_.link(id).capacity -
+                                      Mbps{background}).value())
+                     : 0.0;
+}
+
+bool FluidNetwork::background_moved() const {
+  const std::size_t link_count = topology_.link_count();
+  if (solved_background_.size() != link_count) return true;
+  for (std::size_t l = 0; l < link_count; ++l) {
+    // Bitwise comparison: a NaN background never compares equal, so it
+    // can only force a solve, never skip one.
+    if (read_background(l) != solved_background_[l]) return true;
+  }
+  return false;
+}
+
+bool FluidNetwork::round_one_holds() const {
+  // The stops since the last commit only shrank per-link weight sums, so
+  // their candidates rose; a remaining flow with cap / weight == delta
+  // keeps delta attained.  Each start must not lower delta — neither its
+  // own cap candidate nor any of its links' residual / (W + w) — and must
+  // itself freeze at its cap in the one round.
+  if (!round_one_ || round_one_ties_ == 0) return false;
+  const double delta = round_one_delta_;
+  for (const FlowId id : pending_linked_) {
+    const Flow* flow = flows_.find(id);
+    if (flow == nullptr) continue;  // stopped mid-epoch
+    const double weight = static_cast<double>(flow->weight);
+    const double cap = flow->cap.value();
+    if (!(cap / weight >= delta) || !(delta * weight >= cap - kFreezeEps)) {
+      return false;
+    }
+    for (const LinkId link : flow->links) {
+      const std::size_t l = link.value();
+      if (l >= solved_background_.size() || !link_up(link)) return false;
+      // link_weight_ already includes every start and stop of the epoch.
+      if (!(residual_of(l, solved_background_[l]) /
+                static_cast<double>(link_weight_[l]) >=
+            delta)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 Mbps FluidNetwork::used_bandwidth(LinkId link) const {
   Mbps used = background(link);
   // Sum in ascending flow-id order — the exact reduction order the naive
   // all-flows scan used, so the result stays bit-identical to it.
   if (link.value() < link_flows_.size()) {
-    for (const IndexEntry& entry : link_flows_[link.value()]) {
-      used += flows_.slot_value(entry.slot).rate;
+    for (const std::uint32_t slot : link_flows_[link.value()]) {
+      used += flows_.slot_value(slot).rate;
     }
   }
   return std::min(used, topology_.link(link).capacity);
@@ -239,16 +324,17 @@ void FluidNetwork::reallocate() {
   ensure_index_size();
   const std::size_t link_count = topology_.link_count();
 
+  // The backgrounds read here are kept: a later clock move re-solves only
+  // if one of them changed (fast path (c)).
   std::vector<double>& residual = scratch_residual_;
   residual.resize(link_count);
+  solved_background_.resize(link_count);
   for (std::size_t l = 0; l < link_count; ++l) {
-    const LinkId link{static_cast<LinkId::underlying_type>(l)};
-    residual[l] =
-        link_up(link)
-            ? std::max(0.0, (topology_.link(link).capacity -
-                             background(link)).value())
-            : 0.0;
+    solved_background_[l] = read_background(l);
+    residual[l] = residual_of(l, solved_background_[l]);
   }
+  stale_ = false;
+  round_one_ = false;
 
   // Per-link sums of unfrozen-flow weights: every indexed flow starts
   // unfrozen (local/empty-path flows appear in no list).  Integer sums are
@@ -256,14 +342,7 @@ void FluidNetwork::reallocate() {
   // so the weighted arithmetic below reduces bit-for-bit to the old
   // unweighted filler.
   std::vector<std::uint64_t>& weight_on = scratch_weight_on_;
-  weight_on.resize(link_count);
-  for (std::size_t l = 0; l < link_count; ++l) {
-    std::uint64_t sum = 0;
-    for (const IndexEntry& entry : link_flows_[l]) {
-      sum += flows_.slot_value(entry.slot).weight;
-    }
-    weight_on[l] = sum;
-  }
+  weight_on.assign(link_weight_.begin(), link_weight_.end());
 
   // Flow-parallel arrays in flows_ (ascending id) order, so fills and cap
   // minima visit flows exactly as the reference does.
@@ -307,14 +386,13 @@ void FluidNetwork::reallocate() {
     }
   };
   // Index of flow `id` in the parallel arrays (ids is sorted ascending).
-  const auto slot_of = [&](FlowId id) {
+  const auto position_of = [&](FlowId id) {
     const auto it = std::lower_bound(ids.begin(), ids.end(), id);
     ensure(it != ids.end() && *it == id,
         "FluidNetwork::reallocate: index entry for unknown flow");
     return static_cast<std::size_t>(it - ids.begin());
   };
 
-  constexpr double kEps = 1e-12;
   std::uint64_t rounds = 0;
   while (unfrozen_total > 0) {
     ++rounds;
@@ -353,15 +431,29 @@ void FluidNetwork::reallocate() {
     // flow-by-flow path scan exactly.
     bool froze = false;
     for (const std::size_t i : unfrozen) {
-      if (rate[i] >= flow_of[i]->cap.value() - kEps) {
+      if (rate[i] >= flow_of[i]->cap.value() - kFreezeEps) {
         freeze(i);
         froze = true;
       }
     }
+    if (rounds == 1 && unfrozen_total == 0 && delta > 0.0) {
+      // Every linked flow froze at its cap in round one: the state the
+      // start/stop fast path (b) can extend without solving.
+      round_one_ = true;
+      round_one_delta_ = delta;
+      round_one_ties_ = 0;
+      for (const std::size_t i : unfrozen) {
+        if (flow_of[i]->cap.value() /
+                static_cast<double>(flow_of[i]->weight) ==
+            delta) {
+          ++round_one_ties_;
+        }
+      }
+    }
     for (std::size_t l = 0; l < link_count; ++l) {
-      if (weight_on[l] == 0 || residual[l] > kEps) continue;
-      for (const IndexEntry& entry : link_flows_[l]) {
-        const std::size_t i = slot_of(entry.id);
+      if (weight_on[l] == 0 || residual[l] > kFreezeEps) continue;
+      for (const std::uint32_t slot : link_flows_[l]) {
+        const std::size_t i = position_of(flows_.slot_id(slot));
         if (!frozen[i]) {
           freeze(i);
           froze = true;
@@ -383,8 +475,8 @@ void FluidNetwork::reallocate() {
     for (const LinkId link : flow_of[i]->links) {
       if (!link_up(link)) severed = true;
     }
-    flow_of[i]->rate = severed ? Mbps{0.0}
-                               : std::max(Mbps{rate[i]}, kMinFlowRate);
+    stamp(ids[i], *flow_of[i],
+          severed ? Mbps{0.0} : std::max(Mbps{rate[i]}, kMinFlowRate));
   }
 
   if (obs::TraceRecorder* tr = obs::trace_sink()) {
@@ -394,26 +486,28 @@ void FluidNetwork::reallocate() {
     tr->counter(obs::Subsystem::kFluid, "fluid.active_flows",
                 static_cast<double>(flow_count));
   }
+}
 
-  if (check_reference_) {
-    const std::vector<std::pair<FlowId, Mbps>> reference =
-        reallocate_reference();
-    ensure(reference.size() == flow_count,
-        "FluidNetwork: reference allocation lost a flow");
-    for (std::size_t i = 0; i < flow_count; ++i) {
-      ensure(reference[i].first == ids[i] &&
-                 reference[i].second.value() == flow_of[i]->rate.value(),
-          "FluidNetwork: indexed allocation diverged from "
-          "reallocate_reference()");
-    }
-  }
+void FluidNetwork::check_reference() const {
+  const std::vector<std::pair<FlowId, Mbps>> reference =
+      reallocate_reference();
+  ensure(reference.size() == flows_.size(),
+      "FluidNetwork: reference allocation lost a flow");
+  std::size_t i = 0;
+  flows_.for_each_ordered([&](FlowId id, const Flow& flow) {
+    ensure(reference[i].first == id &&
+               reference[i].second.value() == flow.rate.value(),
+        "FluidNetwork: indexed allocation diverged from "
+        "reallocate_reference()");
+    ++i;
+  });
 }
 
 std::vector<std::pair<FlowId, Mbps>> FluidNetwork::reallocate_reference()
     const {
   // The original from-scratch progressive filler, preserved as the oracle
   // the indexed allocator is checked against: per-link unfrozen weight
-  // sums are recomputed by scanning every flow's path each round (with
+  // sums are recomputed by scanning every flow's links each round (with
   // all-ones weights they are the old per-link unfrozen counts).
   std::vector<double> residual(topology_.link_count());
   for (std::size_t l = 0; l < residual.size(); ++l) {
@@ -441,7 +535,7 @@ std::vector<std::pair<FlowId, Mbps>> FluidNetwork::reallocate_reference()
 
   // Flows with empty paths are purely local: they get their cap outright.
   for (Active& a : active) {
-    if (a.flow->path.empty()) {
+    if (a.flow->links.empty()) {
       a.rate = a.flow->cap.value();
       a.frozen = true;
     }
@@ -451,7 +545,7 @@ std::vector<std::pair<FlowId, Mbps>> FluidNetwork::reallocate_reference()
     std::uint64_t sum = 0;
     for (const Active& a : active) {
       if (a.frozen) continue;
-      for (const LinkId link : a.flow->path) {
+      for (const LinkId link : a.flow->links) {
         if (link.value() == l) {
           sum += a.flow->weight;
           break;
@@ -502,7 +596,7 @@ std::vector<std::pair<FlowId, Mbps>> FluidNetwork::reallocate_reference()
         froze = true;
         continue;
       }
-      for (const LinkId link : a.flow->path) {
+      for (const LinkId link : a.flow->links) {
         if (residual[link.value()] <= kEps) {
           a.frozen = true;
           froze = true;
@@ -519,7 +613,7 @@ std::vector<std::pair<FlowId, Mbps>> FluidNetwork::reallocate_reference()
     // Flows crossing a down link are truly stuck (rate 0); everyone else
     // gets at least the trickle floor.
     bool severed = false;
-    for (const LinkId link : a.flow->path) {
+    for (const LinkId link : a.flow->links) {
       if (!link_up(link)) severed = true;
     }
     out.emplace_back(a.id, severed ? Mbps{0.0}

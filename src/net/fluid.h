@@ -26,6 +26,13 @@
 // (used_bandwidth, utilization) walk only the flows on that link.  The
 // naive filler survives as reallocate_reference() — a bit-identical oracle
 // for tests, benches and the optional self-check.
+//
+// Most mutations do not run the filler at all.  A pathless flow's share is
+// its own cap; a clock move that leaves every link's background unchanged
+// changes no share; and while the last solve froze every linked flow at its
+// cap in its first round, a start or stop that keeps that round's delta
+// moves no other flow.  Those commits stamp only the flows they touch, with
+// the filler's own arithmetic, so the rates stay bit-identical (DESIGN §10).
 #pragma once
 
 #include <cstddef>
@@ -54,9 +61,9 @@ inline constexpr Mbps kMinFlowRate{1e-3};
 ///
 /// Flow rates are piecewise constant: they change only when the network
 /// mutates (time moves, flows start/stop, links fail/recover).  Components
-/// that integrate rates over time (TransferManager) register change hooks
-/// so they can settle progress at the old rates before a mutation and
-/// re-plan after it.
+/// that integrate rates over time (TransferManager) register a change hook
+/// and read the rate-change log: every flow whose rate moved, with the rate
+/// it had before, so progress is settled only where a rate changed.
 class FluidNetwork {
  public:
   /// Both references must outlive the network.
@@ -66,10 +73,24 @@ class FluidNetwork {
   FluidNetwork(const FluidNetwork&) = delete;
   FluidNetwork& operator=(const FluidNetwork&) = delete;
 
-  /// `pre` runs before any rate-affecting mutation (old rates still in
-  /// force); `post` runs after it (new rates in force).  One subscriber —
-  /// the transfer manager — is sufficient for this library.
-  void set_change_hooks(std::function<void()> pre, std::function<void()> post);
+  /// `hook` runs after every committed mutation (new rates in force).  While
+  /// a hook is installed the network also keeps the rate-change log (see
+  /// rate_changes()).  One subscriber — the transfer manager — is sufficient
+  /// for this library; an empty hook unsubscribes and drops the log.
+  void set_change_hook(std::function<void()> hook);
+
+  /// One rate-change log entry: `flow`'s rate differs from `before`, the
+  /// rate it had since the previous entry for it (0 for a new flow).
+  struct RateChange {
+    FlowId flow;
+    Mbps before;
+  };
+  /// Flows whose rate changed since clear_rate_changes(), in commit order
+  /// (a flow may appear once per commit).  Stopped flows are not logged.
+  [[nodiscard]] const std::vector<RateChange>& rate_changes() const {
+    return rate_changes_;
+  }
+  void clear_rate_changes() { rate_changes_.clear(); }
 
   /// Moves the background traffic clock; flow shares are re-solved.
   void set_time(SimTime t);
@@ -109,11 +130,13 @@ class FluidNetwork {
 
   /// Current fair-share rate of a flow (at least kMinFlowRate unless its
   /// path crosses a down link).  Inside an open allocation epoch (see
-  /// BatchGuard) rates are stale: they reflect the last reallocation, and
+  /// BatchGuard) rates are stale: they reflect the last commit, and
   /// flows started within the epoch read 0 until it closes.
   [[nodiscard]] Mbps flow_rate(FlowId flow) const;
 
-  [[nodiscard]] const std::vector<LinkId>& flow_path(FlowId flow) const;
+  /// The distinct links a flow crosses, ascending by id (a path that
+  /// repeats a link crosses it once).
+  [[nodiscard]] const std::vector<LinkId>& flow_links(FlowId flow) const;
 
   /// Background-only load on a link at the current time, clamped to the
   /// link's capacity (zero while the link is down).
@@ -142,17 +165,14 @@ class FluidNetwork {
 
   /// RAII handle for one allocation epoch: while any guard is alive,
   /// mutations (start/stop/cap-edit/link-flap/clock moves) update state but
-  /// defer the reallocation; the single pre-change hook fires before the
-  /// epoch's first mutation, and one reallocation plus the post-change hook
-  /// run when the last guard releases.  Callers tearing down or starting
-  /// many flows at one simulated instant (failover storms, completion
-  /// sweeps) pay for one progressive filling instead of one per mutation.
+  /// defer the reallocation; one commit (a solve or a fast path) plus the
+  /// change hook run when the last guard releases.  Callers tearing down or
+  /// starting many flows at one simulated instant (failover storms,
+  /// completion sweeps) pay for one commit instead of one per mutation.
   ///
-  /// Mid-epoch rate reads are stale, so nothing may integrate rates across
-  /// a clock movement inside an open epoch.  An epoch may *begin* with the
-  /// clock movement once every integrator has settled at the old rates —
-  /// each TransferManager operation (settle, clock move, flow change or
-  /// completion sweep) is one such epoch and costs one solve.
+  /// Mid-epoch rate reads are stale: they are the rates in force since the
+  /// last commit.  Each TransferManager operation (clock move plus flow
+  /// change or completion sweep) is one epoch and commits once.
   class [[nodiscard]] BatchGuard {
    public:
     BatchGuard() = default;
@@ -203,15 +223,14 @@ class FluidNetwork {
   [[nodiscard]] std::vector<std::pair<FlowId, Mbps>> reallocate_reference()
       const;
 
-  /// Debug flag: when on, every reallocation re-solves with
-  /// reallocate_reference() and requires bitwise-equal rates (throws
-  /// std::logic_error on divergence).  Off by default — it restores the
-  /// naive cost.
+  /// Debug flag: when on, every commit — full solve or fast path — re-solves
+  /// with reallocate_reference() and requires bitwise-equal rates for every
+  /// flow (throws std::logic_error on divergence).  Off by default — it
+  /// restores the naive cost.
   void set_check_against_reference(bool on) { check_reference_ = on; }
 
-  /// Progressive fillings performed so far (epoch coalescing, the
-  /// empty-network fast path and the all-local fast path all show up as
-  /// this not advancing).
+  /// Progressive fillings performed so far (epoch coalescing and every fast
+  /// path show up as this not advancing).
   [[nodiscard]] std::size_t reallocation_count() const {
     return reallocation_count_;
   }
@@ -224,7 +243,6 @@ class FluidNetwork {
 
  private:
   struct Flow {
-    std::vector<LinkId> path;   // as given by the caller (may repeat links)
     std::vector<LinkId> links;  // sorted unique links — the index keys
     Mbps cap;
     Mbps rate;
@@ -234,35 +252,43 @@ class FluidNetwork {
     std::uint32_t weight = 1;
   };
 
-  /// One incidence-index entry: the slot index is stable for the flow's
-  /// lifetime (SlotMap slots never move), unlike a pointer into a growing
-  /// dense vector would be.
-  struct IndexEntry {
-    FlowId id;
-    std::uint32_t slot;
-  };
-
   void reallocate();
-  /// Fires the pre-change hook (once per epoch when batched); returns true
-  /// when the mutation is deferred into an open epoch.
+  /// Marks the open epoch dirty; returns true when the mutation is deferred
+  /// into it.
   bool pre_mutation();
-  /// Re-solves shares (skipped when no flows are active) and fires the
-  /// post-change hook.
+  /// Brings every rate up to date — by a full solve or, when the state
+  /// allows, by stamping only the flows touched since the last commit — and
+  /// runs the change hook.
   void commit_mutation();
   void end_batch();
   void ensure_index_size();
-  void index_insert(FlowId id, std::uint32_t slot, const Flow& flow);
+  void index_insert(std::uint32_t slot, const Flow& flow);
   void index_remove(FlowId id, const Flow& flow);
-
-  void pre_change() const {
-    if (pre_change_hook_) pre_change_hook_();
+  /// Sets a flow's rate, logging it when it changed.
+  void stamp(FlowId id, Flow& flow, Mbps rate);
+  /// Clamped background of an up link at the current clock (one traffic
+  /// query), or 0 for a down link.
+  [[nodiscard]] double read_background(std::size_t link) const;
+  /// The filler's first-round residual of a link given its background.
+  [[nodiscard]] double residual_of(std::size_t link, double background) const;
+  /// Fast path (c): true when some link's background differs from the
+  /// value the last solve read.  O(links).
+  [[nodiscard]] bool background_moved() const;
+  /// Fast path (b): true when the linked starts and stops since the last
+  /// commit leave the last solve's first round intact (same delta, every
+  /// linked flow frozen at its cap in it).  O(path) per started flow.
+  [[nodiscard]] bool round_one_holds() const;
+  void check_reference() const;
+  void invalidate_solve() {
+    stale_ = true;
+    round_one_ = false;
   }
+
   void post_change() const {
-    if (post_change_hook_) post_change_hook_();
+    if (change_hook_) change_hook_();
   }
 
-  std::function<void()> pre_change_hook_;
-  std::function<void()> post_change_hook_;
+  std::function<void()> change_hook_;
   const Topology& topology_;
   const TrafficModel& traffic_;
   SimTime now_{0.0};
@@ -270,21 +296,43 @@ class FluidNetwork {
   // sums) uses its ascending-id ordered walk, so float reductions stay
   // bit-identical across runs and to the old std::map-based code.
   SlotMap<FlowId, Flow> flows_;
-  /// link id -> flows crossing it, ascending by flow id (ids are handed out
-  /// monotonically, so insertion is an append and the per-link sums reduce
-  /// in exactly the order the naive full scan used).
-  std::vector<std::vector<IndexEntry>> link_flows_;
+  /// link id -> SlotMap slots of the flows crossing it, ascending by flow
+  /// id (ids are handed out monotonically, so insertion is an append and
+  /// the per-link sums reduce in exactly the order the naive full scan
+  /// used).  A slot is stable for the flow's lifetime and names its id.
+  std::vector<std::vector<std::uint32_t>> link_flows_;
+  /// link id -> sum of the weights of the flows crossing it (exact integer
+  /// sums, kept with the index; the filler starts each solve from these).
+  std::vector<std::uint64_t> link_weight_;
   std::vector<bool> link_down_;  // indexed by link id; default all up
   FlowId::underlying_type next_flow_ = 0;
-  /// Flows whose `links` list is non-empty.  When zero, every active flow
-  /// is purely local and its max-min share is exactly its (floored) cap, so
-  /// commit_mutation stamps the flows touched since the last solve instead
-  /// of running a progressive filling — the all-local fast path that keeps
-  /// large single-site session populations O(1) per mutation.
+  /// Flows whose `links` list is non-empty.  When zero every active flow is
+  /// pathless and its share is exactly its (floored) cap: nothing to solve.
   std::size_t linked_flow_count_ = 0;
-  /// Pathless flows started or cap-edited since the last full solve — the
-  /// set the all-local fast path must stamp (stopped ones are skipped).
+
+  // ---- mutations since the last commit ----
+  /// Pathless flows started or cap-edited (stopped ones are skipped).
   std::vector<FlowId> pending_local_;
+  /// Linked flows started (stopped ones are skipped).
+  std::vector<FlowId> pending_linked_;
+  bool clock_moved_ = false;
+  bool linked_changed_ = false;  // a linked flow started or stopped
+
+  // ---- what the last full solve read and found ----
+  /// True when no full solve describes the current linked flows: none has
+  /// run yet, a link flapped, a linked cap changed, or the linked flows
+  /// emptied out.  The next commit with linked flows solves in full.
+  bool stale_ = true;
+  /// link id -> clamped background the last solve read (0 when down).
+  std::vector<double> solved_background_;
+  /// The last solve froze every linked flow at its cap in round one, with
+  /// delta = round_one_delta_ > 0; round_one_ties_ live linked flows have
+  /// cap / weight == delta (kept up to date by start/stop while valid).
+  bool round_one_ = false;
+  double round_one_delta_ = 0.0;
+  std::size_t round_one_ties_ = 0;
+
+  std::vector<RateChange> rate_changes_;
 
   int batch_depth_ = 0;
   bool batch_dirty_ = false;

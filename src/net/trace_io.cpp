@@ -1,5 +1,6 @@
 #include "net/trace_io.h"
 
+#include <cmath>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -80,6 +81,10 @@ TraceTraffic load_trace_csv(const std::string& csv_text,
       require(pos == fields[2].size(), "u");
     } catch (const std::exception&) {
       fail(line_no, "bad number");
+    }
+    // std::stod accepts "nan" and "inf"; a trace sample must be finite.
+    if (!std::isfinite(time_s) || !std::isfinite(used)) {
+      fail(line_no, "non-finite number");
     }
     try {
       trace.add_sample(link->second, SimTime{time_s}, Mbps{used});

@@ -31,6 +31,8 @@ Mbps ConstantTraffic::background_load(LinkId link, SimTime) const {
 
 void TraceTraffic::add_sample(LinkId link, SimTime t, Mbps load) {
   require(link.valid(), "TraceTraffic: invalid link");
+  require(std::isfinite(t.seconds()), "TraceTraffic: non-finite time");
+  require(std::isfinite(load.value()), "TraceTraffic: non-finite load");
   require(!(load.value() < 0.0), "TraceTraffic: negative load");
   auto& series = samples_[link];
   require(!(!series.empty() && !(series.back().first < t)),

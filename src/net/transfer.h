@@ -7,6 +7,7 @@
 // this.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -19,9 +20,12 @@
 
 namespace vod::net {
 
-/// Drives transfers to completion inside a Simulation.  Progress is exact:
-/// between refresh points rates are constant, so remaining bytes decrease
-/// linearly and completion times are solved in closed form.
+/// Drives transfers to completion inside a Simulation.  Progress is exact
+/// and lazy: a transfer's rate is constant between the commits that change
+/// it, so each transfer keeps (remaining bytes at settled_at) and is settled
+/// only when the network logs a change of its rate.  Predicted finishes sit
+/// in an indexed min-heap, so an operation costs O(changed flows x log n)
+/// rather than a walk over every transfer.
 class TransferManager {
  public:
   using CompletionCallback = std::function<void(SimTime)>;
@@ -58,34 +62,56 @@ class TransferManager {
   /// with a restart (failover) can wrap both in one allocation epoch via
   /// FluidNetwork::defer_reallocate().
   [[nodiscard]] FluidNetwork& network() { return network_; }
+  [[nodiscard]] const FluidNetwork& network() const { return network_; }
 
  private:
   struct Transfer {
-    MegaBytes remaining;
+    MegaBytes remaining;  // as of settled_at, at the flow's current rate
+    SimTime settled_at;
     CompletionCallback on_complete;
+    std::uint32_t heap_pos;  // index of this transfer's entry in due_
+  };
+  /// Completion-index entry: a transfer's predicted finish.  Ordered by
+  /// (at, id), so same-instant completions surface in ascending id order.
+  struct Due {
+    SimTime at;
+    FlowId id;
+    std::uint32_t slot;  // the transfer's SlotMap slot (stable)
   };
 
-  /// Applies linear progress at current rates up to `now`, without touching
-  /// the network clock.
-  void settle_bytes(SimTime now);
-  /// settle_bytes, then opens an allocation epoch and moves the network
-  /// clock inside it.  The caller applies its flow changes and releases the
-  /// epoch once `transfers_` is updated, so one operation costs one solve.
+  /// Opens an allocation epoch and moves the network clock inside it.  The
+  /// caller applies its flow changes and releases the epoch once
+  /// `transfers_` is updated, so one operation commits once.
   [[nodiscard]] FluidNetwork::BatchGuard advance_progress(SimTime now);
+  /// Settles every transfer whose rate the network logged as changed (at
+  /// its old rate, up to `now`) and re-predicts its finish.
+  void absorb_rate_changes(SimTime now);
   /// Completes transfers that have drained; callbacks may start new ones.
   void complete_finished(SimTime now);
   /// Schedules the next wake-up (earliest completion or traffic change).
   void reschedule(SimTime now);
   void refresh(SimTime now);
+  /// Runs after a mutation by something *else* (the SNMP module advancing
+  /// time, a link failing): absorb its rate changes, complete and re-plan.
+  void on_network_change();
 
-  /// Network change hooks: when something *else* mutates the FluidNetwork
-  /// (the SNMP module advancing time, a link failing), settle progress at
-  /// the old rates first and re-plan wake-ups after.
-  void on_network_pre_change();
-  void on_network_post_change();
+  /// Finish predicted from the transfer's settled state at `rate` Mbps.
+  [[nodiscard]] static SimTime predict(const Transfer& transfer, double rate);
+  /// True when the transfer has drained by `now` at `rate`.
+  [[nodiscard]] static bool drained(const Transfer& transfer, const Due& due,
+                                    double rate, SimTime now);
+
+  // Indexed binary min-heap over due_, keeping Transfer::heap_pos current.
+  [[nodiscard]] static bool earlier(const Due& a, const Due& b) {
+    return a.at < b.at || (a.at == b.at && a.id < b.id);
+  }
+  void heap_place(std::size_t pos, const Due& due);
+  void heap_sift_up(std::size_t pos);
+  void heap_sift_down(std::size_t pos);
+  void heap_remove(std::size_t pos);
 
   /// RAII reentrancy guard: the manager's own network mutations must not
-  /// re-trigger the hooks.
+  /// re-trigger the hook.
   class BusyScope {
    public:
     explicit BusyScope(int& depth) : depth_(depth) { ++depth_; }
@@ -99,17 +125,9 @@ class TransferManager {
 
   sim::Simulation& sim_;
   FluidNetwork& network_;
-  // Dense store; settle/complete/reschedule sweeps use the slot map's
-  // ordered walk so transfers are visited ascending by FlowId (completion
-  // callbacks run in id order at a tie; float progress sums stay
-  // reproducible — the order the old std::map iteration had).
   SlotMap<FlowId, Transfer> transfers_;
-  /// Completion candidates: transfers whose remaining crossed the done
-  /// epsilon during a settle (or were born at/below it).  complete_finished
-  /// drains this instead of rescanning every transfer per completion;
-  /// entries cancelled in the meantime are skipped by a liveness check.
-  std::vector<FlowId> drained_;
-  SimTime last_progress_{0.0};
+  /// Completion index: one entry per transfer, min-heap by (at, id).
+  std::vector<Due> due_;
   sim::EventHandle pending_;
   int busy_depth_ = 0;
 };

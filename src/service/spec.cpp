@@ -1,5 +1,6 @@
 #include "service/spec.h"
 
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -45,14 +46,20 @@ std::vector<std::string> tokenize(const std::string& line, int line_no) {
 
 double parse_number(const std::string& token, int line_no,
                     const char* what) {
+  double value = 0.0;
   try {
     std::size_t used = 0;
-    const double value = std::stod(token, &used);
+    value = std::stod(token, &used);
     require(used == token.size(), "trailing");
-    return value;
   } catch (const std::exception&) {
     fail(line_no, std::string("bad ") + what + " '" + token + "'");
   }
+  // std::stod accepts "nan" and "inf"; no field of a spec may be either
+  // (NaN would slip past every `<= 0` range check below).
+  if (!std::isfinite(value)) {
+    fail(line_no, std::string(what) + " must be finite, got '" + token + "'");
+  }
+  return value;
 }
 
 /// Parses "key=value", checking the key.

@@ -275,48 +275,14 @@ SessionId VodService::spawn_session(NodeId home, const db::VideoInfo& info,
                                     int retries_left, Duration backoff,
                                     bool register_batch) {
   const SessionId id{next_session_++};
-  // The session-lifecycle metrics observer runs before the user/retry
-  // callback so counters and histograms are settled by the time callers
-  // inspect the service; it also retires the session (record + deferred
-  // destruction) first, so the retry wrapper finds a record to annotate.
   auto done =
       wrap_with_retry(id, home, info, cls, std::move(on_done), retries_left,
                       backoff);
-  auto observed = [this, id, cls, done = std::move(done)](
-                      const stream::Session& session) {
-    --active_sessions_;
-    const stream::SessionMetrics& m = session.metrics();
-    if (m.failed) {
-      ++sessions_failed_;
-    } else {
-      ++sessions_finished_;
-      startup_delay_hist_.observe(m.startup_delay());
-      if (m.download_completed_at) {
-        download_hist_.observe(*m.download_completed_at - m.requested_at);
-      }
-    }
-    stall_hist_.observe(m.rebuffer_seconds);
-    if (options_.qos.enabled) {
-      ++qos_counter(cls, m.failed ? "failed" : "finished");
-      qos_histogram(cls, "stall_seconds", {1, 5, 15, 60, 300, 900})
-          .observe(m.rebuffer_seconds);
-      for (const double latency : m.failover_latencies) {
-        qos_histogram(cls, "failover_latency_seconds",
-                      {0.1, 0.5, 1, 5, 15, 60})
-            .observe(latency);
-      }
-    }
-    if (obs::TraceRecorder* tr = obs::trace_sink()) {
-      tr->counter(obs::Subsystem::kService, "service.active_sessions",
-                  static_cast<double>(active_sessions_));
-    }
-    retire_session(id, session);
-    if (done) done(session);
-  };
   ObjectPool<stream::Session>::Ptr session =
       session_pool_.make(sim_, transfers_, *policy_, info, home,
                          options_.cluster_size, session_options_for(cls),
-                         std::move(observed));
+                         std::move(done),
+                         static_cast<stream::SessionObserver*>(this));
   stream::Session& ref = *session;
   ref.set_trace_id(id.value());
   sessions_.insert(id, std::move(session));
@@ -331,6 +297,39 @@ SessionId VodService::spawn_session(NodeId home, const db::VideoInfo& info,
   }
   ref.start();
   return id;
+}
+
+void VodService::on_session_done(const stream::Session& session) {
+  const SessionId id{
+      static_cast<SessionId::underlying_type>(session.trace_id())};
+  const UserClass cls = session.user_class();
+  --active_sessions_;
+  const stream::SessionMetrics& m = session.metrics();
+  if (m.failed) {
+    ++sessions_failed_;
+  } else {
+    ++sessions_finished_;
+    startup_delay_hist_.observe(m.startup_delay());
+    if (m.download_completed_at) {
+      download_hist_.observe(*m.download_completed_at - m.requested_at);
+    }
+  }
+  stall_hist_.observe(m.rebuffer_seconds);
+  if (options_.qos.enabled) {
+    ++qos_counter(cls, m.failed ? "failed" : "finished");
+    qos_histogram(cls, "stall_seconds", {1, 5, 15, 60, 300, 900})
+        .observe(m.rebuffer_seconds);
+    for (const double latency : m.failover_latencies) {
+      qos_histogram(cls, "failover_latency_seconds",
+                    {0.1, 0.5, 1, 5, 15, 60})
+          .observe(latency);
+    }
+  }
+  if (obs::TraceRecorder* tr = obs::trace_sink()) {
+    tr->counter(obs::Subsystem::kService, "service.active_sessions",
+                static_cast<double>(active_sessions_));
+  }
+  retire_session(id, session);
 }
 
 stream::Session::DoneCallback VodService::wrap_with_retry(

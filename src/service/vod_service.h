@@ -178,7 +178,7 @@ struct ServiceOptions {
 };
 
 /// The running service.
-class VodService {
+class VodService : private stream::SessionObserver {
  public:
   /// `topology` and `network` must outlive the service.
   VodService(sim::Simulation& sim, const net::Topology& topology,
@@ -449,6 +449,12 @@ class VodService {
   template <typename Predicate>
   void notify_sessions(const Predicate& predicate, const char* cause,
                        bool black_hole_when_passive);
+
+  /// The session-lifecycle observer: settles counters and histograms and
+  /// retires the session before its done callbacks (the user's, the retry
+  /// wrapper) run.  One observer serves every session; the session's trace
+  /// id is its SessionId.
+  void on_session_done(const stream::Session& session) override;
 
   /// Called from the done observer (before user callbacks): snapshots the
   /// session into a SessionRecord (kSummaries) and queues the Session

@@ -15,38 +15,60 @@ EventHandle EventQueue::schedule(SimTime when, Callback callback) {
       "EventQueue::schedule: time must be finite");
   require(!(when < now_), "EventQueue::schedule: time is in the past");
   require(callback, "EventQueue::schedule: empty callback");
+  require(next_sequence_ < (std::uint64_t{1} << (64 - kSlotBits)),
+      "EventQueue::schedule: sequence numbers exhausted");
+  std::uint64_t slot;
+  if (free_slots_.empty()) {
+    slot = pending_keys_.size();
+    require(slot <= kSlotMask,
+        "EventQueue::schedule: too many pending events");
+    pending_keys_.push_back(0);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
   const std::uint64_t sequence = next_sequence_++;
-  heap_.push_back(Entry{when, sequence, std::move(callback)});
+  const std::uint64_t key = (sequence << kSlotBits) | slot;
+  pending_keys_[slot] = key;
+  ++pending_count_;
+  heap_.push_back(Entry{when, key, std::move(callback)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  pending_.insert(sequence);
-  return EventHandle{sequence};
+  return EventHandle{key};
+}
+
+void EventQueue::release_slot(std::uint64_t key) {
+  const auto slot = static_cast<std::uint32_t>(key & kSlotMask);
+  pending_keys_[slot] = 0;
+  free_slots_.push_back(slot);
+  --pending_count_;
 }
 
 bool EventQueue::cancel(EventHandle handle) {
   // Only events still waiting may be cancelled; a handle whose event
-  // already fired (or was cancelled before) is not pending and is
+  // already fired (or was cancelled before) no longer owns its slot and is
   // rejected, leaving the counters untouched.
-  if (!handle.valid() || pending_.erase(handle.sequence_) == 0) return false;
-  cancelled_.insert(handle.sequence_);
-  if (cancelled_.size() * 2 > heap_.size()) compact();
+  const std::uint64_t slot = handle.key_ & kSlotMask;
+  if (!handle.valid() || slot >= pending_keys_.size() ||
+      pending_keys_[slot] != handle.key_) {
+    return false;
+  }
+  release_slot(handle.key_);
+  ++cancelled_in_heap_;
+  if (cancelled_in_heap_ * 4 > heap_.size()) compact();
   return true;
 }
 
 void EventQueue::compact() {
-  std::erase_if(heap_, [&](const Entry& e) {
-    return cancelled_.contains(e.sequence);
-  });
-  cancelled_.clear();
+  std::erase_if(heap_, [&](const Entry& e) { return !live(e); });
+  cancelled_in_heap_ = 0;
   std::make_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void EventQueue::drop_cancelled_head() const {
-  while (!heap_.empty()) {
-    auto it = cancelled_.find(heap_.front().sequence);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
+  while (!heap_.empty() && !live(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
+    --cancelled_in_heap_;
   }
 }
 
@@ -63,14 +85,14 @@ bool EventQueue::run_next() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   Entry entry = std::move(heap_.back());
   heap_.pop_back();
-  pending_.erase(entry.sequence);
+  release_slot(entry.key);
   now_ = entry.when;
   entry.callback(now_);
   return true;
 }
 
-bool EventQueue::empty() const { return pending_.empty(); }
+bool EventQueue::empty() const { return pending_count_ == 0; }
 
-std::size_t EventQueue::pending_count() const { return pending_.size(); }
+std::size_t EventQueue::pending_count() const { return pending_count_; }
 
 }  // namespace vod::sim

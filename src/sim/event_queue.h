@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -21,15 +20,14 @@ class EventHandle {
  public:
   constexpr EventHandle() = default;
 
-  [[nodiscard]] constexpr bool valid() const { return sequence_ != 0; }
+  [[nodiscard]] constexpr bool valid() const { return key_ != 0; }
 
   friend constexpr bool operator==(EventHandle, EventHandle) = default;
 
  private:
   friend class EventQueue;
-  constexpr explicit EventHandle(std::uint64_t sequence)
-      : sequence_(sequence) {}
-  std::uint64_t sequence_ = 0;
+  constexpr explicit EventHandle(std::uint64_t key) : key_(key) {}
+  std::uint64_t key_ = 0;  // the event's key (see EventQueue)
 };
 
 /// Priority queue of timed callbacks.
@@ -63,38 +61,54 @@ class EventQueue {
   [[nodiscard]] SimTime now() const { return now_; }
 
  private:
+  /// An event's key packs its scheduling sequence number (high bits) with
+  /// the slot it occupies in the pending table (low kSlotBits).  Sequences
+  /// are unique and increasing, so ordering by key is ordering by sequence.
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask =
+      (std::uint64_t{1} << kSlotBits) - 1;
+
   struct Entry {
     SimTime when;
-    std::uint64_t sequence;
+    std::uint64_t key;
     Callback callback;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.when != b.when) return a.when > b.when;
-      return a.sequence > b.sequence;
+      return a.key > b.key;
     }
   };
 
+  /// True while the entry's event is still pending (neither fired nor
+  /// cancelled): its slot still holds its key.
+  [[nodiscard]] bool live(const Entry& entry) const {
+    return pending_keys_[entry.key & kSlotMask] == entry.key;
+  }
+  void release_slot(std::uint64_t key);
   void drop_cancelled_head() const;
   void compact();
 
-  // Cancellation is lazy: a cancelled event usually stays in the heap until
-  // it reaches the top, where drop_cancelled_head() discards it.  When
-  // cancelled entries come to outnumber live ones (long fault storms cancel
-  // whole batches of watchdogs), cancel() compacts: it erases every
-  // cancelled entry and re-heapifies, bounding memory at ~2x the live
-  // events.  Ordering is untouched — (when, sequence) is a total order, so
-  // the heap's firing order is independent of its internal layout.  Purging
-  // is logically const (it never changes which events are pending), so the
-  // heap and the cancelled set are mutable and next_time() stays honest.
+  // Cancellation is lazy: cancel() frees the event's slot at once, and the
+  // heap entry — no longer live, since its slot no longer holds its key —
+  // stays until it reaches the top, where drop_cancelled_head() discards
+  // it.  Once cancelled entries pass a quarter of the heap (long fault
+  // storms cancel whole batches of watchdogs), cancel() compacts: it erases
+  // them and re-heapifies, bounding the heap at 4/3 of the live events.
+  // Ordering is untouched — (when, key) is a total order, so the heap's
+  // firing order is independent of its internal layout.  Purging is
+  // logically const (it never changes which events are pending), so the
+  // heap and its cancelled count are mutable and next_time() stays honest.
   // The heap is a std::vector managed with the <algorithm> heap primitives
   // rather than std::priority_queue so compaction can walk and rebuild it.
   mutable std::vector<Entry> heap_;
-  mutable std::unordered_set<std::uint64_t> cancelled_;
-  /// Sequences scheduled, not yet fired and not cancelled.  Membership here
-  /// is what distinguishes a cancellable event from one that already fired
-  /// (both have sequence < next_sequence_).
-  std::unordered_set<std::uint64_t> pending_;
+  mutable std::size_t cancelled_in_heap_ = 0;
+  /// Slot -> key of the pending event occupying it (0 = free).  This is
+  /// what distinguishes a cancellable event from one that already fired or
+  /// was cancelled, with no per-event node and no hashing.
+  std::vector<std::uint64_t> pending_keys_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t pending_count_ = 0;
   std::uint64_t next_sequence_ = 1;
   SimTime now_{0.0};
 };

@@ -15,7 +15,10 @@ VraPolicy::VraPolicy(const vra::Vra& vra, double switch_hysteresis)
 std::optional<Selection> VraPolicy::select(NodeId home, VideoId video) {
   const auto decision = vra_.select_server(home, video);
   if (!decision) return std::nullopt;
-  if (decision->served_locally || hysteresis_ == 0.0) {
+  // Without hysteresis the previous source is never consulted, so it is
+  // not recorded either.
+  if (hysteresis_ == 0.0) return Selection{decision->server, decision->path};
+  if (decision->served_locally) {
     last_choice_[{home, video}] = decision->server;
     return Selection{decision->server, decision->path};
   }

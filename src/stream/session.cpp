@@ -27,29 +27,36 @@ void trace_session(const char* name, std::uint64_t sid,
 Session::Session(sim::Simulation& sim, net::TransferManager& transfers,
                  ServerSelectionPolicy& policy, db::VideoInfo video,
                  NodeId home, MegaBytes cluster_size, SessionOptions options,
-                 DoneCallback on_done)
+                 DoneCallback on_done, SessionObserver* observer)
     : sim_(sim),
       transfers_(transfers),
       policy_(policy),
       video_(std::move(video)),
+      on_done_(std::move(on_done)),
+      observer_(observer),
+      flow_cap_(options.flow_cap),
+      local_rate_(options.local_rate),
+      stall_rate_floor_(options.stall_rate_floor),
       home_(home),
-      options_(options),
-      on_done_(std::move(on_done)) {
+      flow_weight_(options.flow_weight),
+      max_retries_(options.max_retries),
+      max_total_retries_(options.max_total_retries),
+      user_class_(options.user_class) {
   require(home.valid(), "Session: invalid home node");
   require_positive_finite(cluster_size.value(),
       "Session: cluster size must be positive and finite");
-  require_positive_finite(options_.flow_cap.value(),
+  require_positive_finite(options.flow_cap.value(),
       "Session: flow cap must be positive and finite");
-  require(options_.prebuffer_clusters != 0,
+  require(options.prebuffer_clusters != 0,
       "Session: prebuffer must be >= 1 cluster");
-  require(options_.flow_weight >= 1, "Session: flow weight must be >= 1");
-  require(options_.stall_timeout_scale > 0.0,
+  require(options.flow_weight >= 1, "Session: flow weight must be >= 1");
+  require(options.stall_timeout_scale > 0.0,
       "Session: stall timeout scale must be positive");
-  if (options_.stall_timeout_seconds == kAutoStallTimeout) {
+  if (options.stall_timeout_seconds == kAutoStallTimeout) {
     stall_timeout_ =
-        3.0 * cluster_size.megabits() / options_.flow_cap.value();
-  } else if (options_.stall_timeout_seconds > 0.0) {
-    stall_timeout_ = options_.stall_timeout_seconds;  // infinity disables
+        3.0 * cluster_size.megabits() / options.flow_cap.value();
+  } else if (options.stall_timeout_seconds > 0.0) {
+    stall_timeout_ = options.stall_timeout_seconds;  // infinity disables
   } else {
     fail_require(
         "Session: stall timeout must be positive, infinity, or "
@@ -57,14 +64,25 @@ Session::Session(sim::Simulation& sim, net::TransferManager& transfers,
   }
   // Class patience knob; x1.0 is the bit-identical classless default (and
   // scaling infinity keeps the watchdog disabled).
-  if (options_.stall_timeout_scale != 1.0) {
-    stall_timeout_ *= options_.stall_timeout_scale;
+  if (options.stall_timeout_scale != 1.0) {
+    stall_timeout_ *= options.stall_timeout_scale;
   }
   // The striping plan defines the cluster boundaries; the disk count is
-  // irrelevant for sizes, so any positive count works here.
+  // irrelevant for sizes, so any positive count works here.  Only three
+  // numbers of it are kept: all parts but the last are one full cluster.
   const storage::StripePlacement plan =
       storage::plan_striping(video_.id, video_.size, cluster_size, 1);
-  part_sizes_ = plan.part_sizes;
+  const std::vector<MegaBytes>& parts = plan.part_sizes;
+  require(!parts.empty(), "Session: the video has no clusters");
+  part_count_ = static_cast<std::uint32_t>(parts.size());
+  cluster_part_ = parts.front();
+  last_part_ = parts.back();
+  for (std::size_t k = 0; k + 1 < parts.size(); ++k) {
+    ensure(parts[k] == cluster_part_,
+        "Session: striping plan has a short part before the last");
+  }
+  prebuffer_clusters_ = static_cast<std::uint32_t>(
+      std::min<std::size_t>(options.prebuffer_clusters, part_count_));
 }
 
 Session::~Session() {
@@ -162,12 +180,11 @@ void Session::fetch_next_cluster(SimTime now) {
   }
 
   const bool local = selection->path.links.empty();
-  const Mbps cap = local ? options_.local_rate : options_.flow_cap;
-  inflight_path_ = selection->path.links;
+  const Mbps cap = local ? local_rate_ : flow_cap_;
   inflight_ = transfers_.start_transfer(
-      selection->path.links, part_sizes_[index], cap,
+      selection->path.links, part_size(index), cap,
       [this, index](SimTime t) { on_cluster_done(index, t); },
-      options_.flow_weight);
+      flow_weight_);
 
   if (std::isfinite(stall_timeout_)) {
     watchdog_ = sim_.schedule_in(
@@ -189,7 +206,7 @@ void Session::on_stall_timeout(std::size_t index, SimTime now) {
   // A transfer still delivering is congested, not dead: let it run and
   // check again one timeout from now.
   if (transfers_.active(*inflight_) &&
-      transfers_.current_rate(*inflight_) >= options_.stall_rate_floor) {
+      transfers_.current_rate(*inflight_) >= stall_rate_floor_) {
     watchdog_ = sim_.schedule_in(
         Duration{stall_timeout_},
         [this, index](SimTime t) { on_stall_timeout(index, t); });
@@ -202,16 +219,16 @@ void Session::on_stall_timeout(std::size_t index, SimTime now) {
       transfers_.network().defer_reallocate();
   if (transfers_.active(*inflight_)) transfers_.cancel(*inflight_);
   inflight_.reset();
-  inflight_path_.clear();
+  black_holed_links_.clear();
   ++metrics_.stall_retries;
   ++retries_this_cluster_;
   // Forget the abandoned source so a return to it counts as a new choice.
   metrics_.cluster_sources.pop_back();
-  if (retries_this_cluster_ > options_.max_retries) {
+  if (retries_this_cluster_ > max_retries_) {
     fail(now, "cluster stalled beyond retry budget");
     return;
   }
-  if (metrics_.stall_retries > options_.max_total_retries) {
+  if (metrics_.stall_retries > max_total_retries_) {
     fail(now, "session stalled beyond total retry budget");
     return;
   }
@@ -228,11 +245,11 @@ void Session::on_cluster_done(std::size_t index, SimTime now) {
       "Session: clusters completed out of order");
   cancel_watchdog();
   inflight_.reset();
-  inflight_path_.clear();
+  black_holed_links_.clear();
   retries_this_cluster_ = 0;
   metrics_.cluster_completed.push_back(now);
   ++next_cluster_;
-  if (next_cluster_ == part_sizes_.size()) {
+  if (next_cluster_ == part_count_) {
     finish(now);
   } else {
     fetch_next_cluster(now);
@@ -253,7 +270,7 @@ void Session::fail_over(const std::string& cause) {
   cancel_watchdog();
   if (transfers_.active(*inflight_)) transfers_.cancel(*inflight_);
   inflight_.reset();
-  inflight_path_.clear();
+  black_holed_links_.clear();
   metrics_.cluster_sources.pop_back();
   ++metrics_.proactive_failovers;
   VOD_LOG_INFO("session: failing over (" << cause << ")");
@@ -265,7 +282,17 @@ void Session::black_hole_inflight() {
   if (!active() || !inflight_) return;
   // Keep inflight_ set: from the session's view the download is still
   // "running", it just never delivers another byte.
-  if (transfers_.active(*inflight_)) transfers_.cancel(*inflight_);
+  if (transfers_.active(*inflight_)) {
+    black_holed_links_ = transfers_.network().flow_links(*inflight_);
+    transfers_.cancel(*inflight_);
+  }
+}
+
+const std::vector<LinkId>& Session::inflight_links() const {
+  static const std::vector<LinkId> kNone;
+  if (!inflight_) return kNone;
+  if (!transfers_.active(*inflight_)) return black_holed_links_;
+  return transfers_.network().flow_links(*inflight_);
 }
 
 Mbps Session::inflight_rate() const {
@@ -288,8 +315,7 @@ void Session::finalize_playback() {
   const std::size_t done = metrics_.cluster_completed.size();
   if (done == 0) return;
 
-  const std::size_t prebuffer =
-      std::min(options_.prebuffer_clusters, part_sizes_.size());
+  const std::size_t prebuffer = prebuffer_clusters_;
   if (done < prebuffer) return;  // never started playing
 
   // Playback begins once the prebuffer is in — or once the user unpauses,
@@ -309,7 +335,7 @@ void Session::finalize_playback() {
     }
     playhead = advance_playhead(
         playhead,
-        Duration{part_sizes_[k].megabits() / video_.bitrate.value()});
+        Duration{part_size(k).megabits() / video_.bitrate.value()});
   }
   if (metrics_.finished) {
     metrics_.playback_finished_at = SimTime{playhead};
@@ -332,6 +358,11 @@ void Session::finish(SimTime now) {
                        metrics_.server_switches))}});
     tr->async_end(obs::Subsystem::kSession, "session", trace_id_);
   }
+  notify_done();
+}
+
+void Session::notify_done() {
+  if (observer_ != nullptr) observer_->on_session_done(*this);
   if (on_done_) on_done_(*this);
 }
 
@@ -346,13 +377,13 @@ void Session::fail(SimTime now, const std::string& reason) {
     transfers_.cancel(*inflight_);
   }
   inflight_.reset();
-  inflight_path_.clear();
+  black_holed_links_.clear();
   finalize_playback();
   if (obs::TraceRecorder* tr = obs::trace_sink()) {
     trace_session("session.fail", trace_id_, {{"reason", reason}});
     tr->async_end(obs::Subsystem::kSession, "session", trace_id_);
   }
-  if (on_done_) on_done_(*this);
+  notify_done();
 }
 
 }  // namespace vod::stream

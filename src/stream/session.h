@@ -130,18 +130,32 @@ struct SessionMetrics {
   }
 };
 
+class Session;
+
+/// Notified when a session ends (finished or failed), before its done
+/// callbacks run.  Lets an owner observe every session through one object
+/// instead of a per-session closure.
+class SessionObserver {
+ public:
+  virtual void on_session_done(const Session& session) = 0;
+
+ protected:
+  ~SessionObserver() = default;
+};
+
 /// Drives one video download + playback inside the simulation.
 class Session {
  public:
   using DoneCallback = std::function<void(const Session&)>;
 
-  /// References must outlive the session.  `cluster_size` is the striping
-  /// unit c; `video` comes from the catalog.  `cluster_size` and
-  /// `options.flow_cap` must be positive and finite.
+  /// References (and `observer`, when given) must outlive the session.
+  /// `cluster_size` is the striping unit c; `video` comes from the
+  /// catalog.  `cluster_size` and `options.flow_cap` must be positive and
+  /// finite.
   Session(sim::Simulation& sim, net::TransferManager& transfers,
           ServerSelectionPolicy& policy, db::VideoInfo video, NodeId home,
           MegaBytes cluster_size, SessionOptions options = {},
-          DoneCallback on_done = {});
+          DoneCallback on_done = {}, SessionObserver* observer = nullptr);
   ~Session();
 
   Session(const Session&) = delete;
@@ -187,10 +201,10 @@ class Session {
   /// The server currently being streamed from (nullopt when idle or done).
   [[nodiscard]] std::optional<NodeId> streaming_source() const;
 
-  /// Links of the in-flight transfer's path (empty when idle or local).
-  [[nodiscard]] const std::vector<LinkId>& inflight_links() const {
-    return inflight_path_;
-  }
+  /// Distinct links of the in-flight transfer's path, ascending by id
+  /// (empty when idle or local).  Read from the fluid flow itself; a
+  /// black-holed transfer keeps the links its flow had.
+  [[nodiscard]] const std::vector<LinkId>& inflight_links() const;
 
   /// The resolved watchdog timeout (finite when kAutoStallTimeout was
   /// passed; infinity when disabled).
@@ -216,11 +230,9 @@ class Session {
 
   [[nodiscard]] const SessionMetrics& metrics() const { return metrics_; }
   [[nodiscard]] const db::VideoInfo& video() const { return video_; }
-  [[nodiscard]] UserClass user_class() const { return options_.user_class; }
+  [[nodiscard]] UserClass user_class() const { return user_class_; }
   [[nodiscard]] NodeId home() const { return home_; }
-  [[nodiscard]] std::size_t cluster_count() const {
-    return part_sizes_.size();
-  }
+  [[nodiscard]] std::size_t cluster_count() const { return part_count_; }
   [[nodiscard]] bool active() const { return started_ && !done_; }
 
  private:
@@ -233,33 +245,56 @@ class Session {
   void finalize_playback();
   void finish(SimTime now);
   void fail(SimTime now, const std::string& reason);
+  /// Runs the observer, then the done callbacks.
+  void notify_done();
 
-  sim::Simulation& sim_;
-  net::TransferManager& transfers_;
-  ServerSelectionPolicy& policy_;
-  db::VideoInfo video_;
-  NodeId home_;
-  SessionOptions options_;
-  DoneCallback on_done_;
+  /// Size of part `index` of the striping plan: every part is a full
+  /// cluster except the last.
+  [[nodiscard]] MegaBytes part_size(std::size_t index) const {
+    return index + 1 < part_count_ ? cluster_part_ : last_part_;
+  }
 
   /// Wall time after consuming `content` of video starting at wall time
   /// `from`, accounting for the recorded pause intervals.
   [[nodiscard]] double advance_playhead(double from, Duration content) const;
 
-  std::vector<MegaBytes> part_sizes_;
-  std::size_t next_cluster_ = 0;
-  std::optional<FlowId> inflight_;
-  std::vector<LinkId> inflight_path_;
+  // Fields are grouped by size so the pooled object carries no padding
+  // holes; of SessionOptions only what streaming reads after construction
+  // is kept.
+  sim::Simulation& sim_;
+  net::TransferManager& transfers_;
+  ServerSelectionPolicy& policy_;
+  db::VideoInfo video_;
+  DoneCallback on_done_;
+  SessionObserver* observer_;
+  Mbps flow_cap_;
+  Mbps local_rate_;
+  Mbps stall_rate_floor_;
+  double stall_timeout_ = 0.0;   // resolved from options in the constructor
+  MegaBytes cluster_part_;
+  MegaBytes last_part_;
+  /// The links of a black-holed transfer (its flow is gone); empty
+  /// otherwise, so a streaming session holds no copy of its path.
+  std::vector<LinkId> black_holed_links_;
   std::optional<SimTime> pause_started_;
   /// When a fault notification hit the in-flight transfer: the instant, for
   /// the failover-latency measurement closed by the next successful fetch.
   std::optional<SimTime> pending_fault_at_;
+  std::optional<FlowId> inflight_;
   sim::EventHandle watchdog_;
-  double stall_timeout_ = 0.0;   // resolved from options in the constructor
+  std::uint64_t trace_id_ = 0;
+  NodeId home_;
+  std::uint32_t part_count_ = 0;
+  std::uint32_t next_cluster_ = 0;
+  /// options.prebuffer_clusters, clamped to the cluster count.
+  std::uint32_t prebuffer_clusters_ = 0;
+  std::uint32_t flow_weight_ = 1;
+  int max_retries_ = 0;
+  int max_total_retries_ = 0;
   int retries_this_cluster_ = 0;
+  UserClass user_class_;
   bool started_ = false;
   bool done_ = false;
-  std::uint64_t trace_id_ = 0;
   SessionMetrics metrics_;
 };
 

@@ -175,6 +175,28 @@ TEST(EventQueue, RepeatedStaleCancelsNeverCorruptCounts) {
   EXPECT_EQ(queue.pending_count(), 0u);
 }
 
+TEST(EventQueue, StaleHandleCannotCancelTheSlotsNextEvent) {
+  // A cancelled or fired event frees its pending-table slot at once; the
+  // next event reuses it, and the old handle must not reach that event.
+  EventQueue queue;
+  int fired = 0;
+  const EventHandle cancelled =
+      queue.schedule(SimTime{1.0}, [&](SimTime) { fired += 1; });
+  EXPECT_TRUE(queue.cancel(cancelled));
+  const EventHandle fires =
+      queue.schedule(SimTime{2.0}, [&](SimTime) { fired += 10; });
+  EXPECT_FALSE(queue.cancel(cancelled));
+  ASSERT_TRUE(queue.run_next());
+  const EventHandle later =
+      queue.schedule(SimTime{3.0}, [&](SimTime) { fired += 100; });
+  EXPECT_FALSE(queue.cancel(fires));
+  EXPECT_EQ(queue.pending_count(), 1u);
+  EXPECT_TRUE(queue.run_next());
+  EXPECT_FALSE(queue.run_next());
+  EXPECT_EQ(fired, 110);
+  EXPECT_FALSE(queue.cancel(later));
+}
+
 TEST(EventQueue, NextTimeOnConstQueueSkipsCancelled) {
   EventQueue queue;
   const EventHandle a = queue.schedule(SimTime{1.0}, [](SimTime) {});

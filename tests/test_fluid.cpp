@@ -210,14 +210,16 @@ TEST(FluidNetwork, DisjointFlowsDoNotInteract) {
   EXPECT_NEAR(network.flow_rate(f2).value(), 10.0, 1e-9);
 }
 
-TEST(FluidNetwork, FlowPathAccessor) {
+TEST(FluidNetwork, FlowLinksAccessor) {
   Line line;
   NoTraffic traffic;
   FluidNetwork network{line.topo, traffic};
-  const FlowId flow = network.start_flow({line.ab, line.bc}, Mbps{5.0});
-  EXPECT_EQ(network.flow_path(flow),
+  // Distinct links, ascending by id, whatever order the path gave.
+  const FlowId flow =
+      network.start_flow({line.bc, line.ab, line.bc}, Mbps{5.0});
+  EXPECT_EQ(network.flow_links(flow),
             (std::vector<LinkId>{line.ab, line.bc}));
-  EXPECT_THROW(network.flow_path(FlowId{99}), std::out_of_range);
+  EXPECT_THROW(network.flow_links(FlowId{99}), std::out_of_range);
 }
 
 TEST(FluidNetwork, SetFlowCapResolvesShares) {

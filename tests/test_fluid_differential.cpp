@@ -8,8 +8,11 @@
 // per-round recomputation on every seed.  A second script drives the same
 // network through a TransferManager, whose operations each batch a settle,
 // a clock move and a flow change (or completion sweep) into one allocation
-// epoch.  Exact double equality throughout: the determinism gates depend
-// on it.
+// epoch.  A third script alternates quiet and saturating background phases
+// with mixed caps and weights, so the fast paths (pathless stamp, unchanged
+// background, unchanged first round) and the full solver both run under
+// the built-in reference check.  Exact double equality throughout: the
+// determinism gates depend on it.
 #include "net/fluid.h"
 
 #include <gtest/gtest.h>
@@ -64,8 +67,8 @@ Mbps naive_used(const FluidNetwork& network, const Topology& topo,
                 const std::vector<std::pair<FlowId, Mbps>>& rates) {
   Mbps used = network.background(link);
   for (const auto& [id, rate] : rates) {
-    const std::vector<LinkId>& path = network.flow_path(id);
-    if (std::find(path.begin(), path.end(), link) != path.end()) {
+    const std::vector<LinkId>& links = network.flow_links(id);
+    if (std::find(links.begin(), links.end(), link) != links.end()) {
       used += rate;
     }
   }
@@ -73,7 +76,8 @@ Mbps naive_used(const FluidNetwork& network, const Topology& topo,
 }
 
 void expect_matches_reference(const FluidNetwork& network,
-                              const Fixture& fx,
+                              const Topology& topo,
+                              const std::vector<LinkId>& links,
                               const std::vector<FlowId>& live) {
   const std::vector<std::pair<FlowId, Mbps>> reference =
       network.reallocate_reference();
@@ -86,13 +90,13 @@ void expect_matches_reference(const FluidNetwork& network,
               reference[i].second.value())
         << "flow " << live[i].value();
   }
-  for (const LinkId link : fx.links) {
+  for (const LinkId link : links) {
     EXPECT_EQ(network.used_bandwidth(link).value(),
-              naive_used(network, fx.topo, link, reference).value())
+              naive_used(network, topo, link, reference).value())
         << "link " << link.value();
     EXPECT_EQ(network.utilization(link),
-              std::clamp(naive_used(network, fx.topo, link, reference) /
-                             fx.topo.link(link).capacity,
+              std::clamp(naive_used(network, topo, link, reference) /
+                             topo.link(link).capacity,
                          0.0, 1.0))
         << "link " << link.value();
   }
@@ -179,7 +183,7 @@ TEST_P(FluidDifferential, IndexedAllocatorMatchesReferenceExactly) {
 
   for (int step = 0; step < 60; ++step) {
     mutate_once();
-    expect_matches_reference(network, fx, live);
+    expect_matches_reference(network, fx.topo, fx.links, live);
     for (const FlowId flow : live) {
       const double rate = network.flow_rate(flow).value();
       if (rate == 0.0) ++severed_seen;
@@ -236,7 +240,7 @@ TEST_P(FluidDifferential, TransferDrivenStepsMatchReference) {
       start_one();
     }
     ASSERT_EQ(manager.active_count(), live.size());
-    expect_matches_reference(network, fx, live);
+    expect_matches_reference(network, fx.topo, fx.links, live);
   }
   // Drain: every transfer not cancelled completes (no link ever goes down
   // here, so each keeps at least the trickle rate).
@@ -244,6 +248,110 @@ TEST_P(FluidDifferential, TransferDrivenStepsMatchReference) {
   EXPECT_TRUE(live.empty());
   EXPECT_EQ(network.active_flow_count(), 0u);
   EXPECT_GT(completed, 0);
+}
+
+/// A wide line whose background alternates between quiet phases (no link
+/// binds: the fast paths apply) and busy ones (links saturate: full solves).
+struct PhasedFixture {
+  Topology topo;
+  std::vector<LinkId> links;
+  TraceTraffic traffic;
+
+  explicit PhasedFixture(Rng& rng) {
+    std::vector<NodeId> nodes;
+    for (int i = 0; i < 5; ++i) {
+      nodes.push_back(topo.add_node("p" + std::to_string(i)));
+    }
+    for (int i = 0; i < 4; ++i) {
+      const Mbps cap{40.0};
+      links.push_back(topo.add_link(nodes[i], nodes[i + 1], cap));
+      double t = 0.0;
+      for (int phase = 0; phase < 8; ++phase) {
+        const bool busy = phase % 2 == 1;
+        traffic.add_sample(links.back(), SimTime{t},
+                           Mbps{busy ? rng.uniform(30.0, 45.0)
+                                     : rng.uniform(0.0, 5.0)});
+        t += rng.uniform(20.0, 40.0);
+      }
+    }
+  }
+};
+
+TEST_P(FluidDifferential, FastPathsMatchReferenceAcrossPhases) {
+  Rng rng{static_cast<std::uint64_t>(GetParam()) * 6151 + 29};
+  PhasedFixture fx{rng};
+  FluidNetwork network{fx.topo, fx.traffic};
+  // Every commit — full solve or fast path — is re-solved by the oracle.
+  network.set_check_against_reference(true);
+
+  std::vector<FlowId> live;
+  double now = 0.0;
+  std::size_t commits = 0;
+  const auto path = [&] {
+    if (rng.bernoulli(0.15)) return std::vector<LinkId>{};  // pathless
+    const auto first = static_cast<std::size_t>(rng.uniform_int(0, 3));
+    const auto last = static_cast<std::size_t>(
+        rng.uniform_int(static_cast<std::int64_t>(first), 3));
+    return std::vector<LinkId>(fx.links.begin() + first,
+                               fx.links.begin() + last + 1);
+  };
+  const auto start_one = [&] {
+    // Mostly cap / weight == 2, so new flows tie the first round's delta;
+    // the others (cap 3.5, weight 1) cannot freeze in round one.
+    const bool heavy = rng.bernoulli(0.3);
+    const bool odd = rng.bernoulli(0.15);
+    const Mbps cap{odd ? 3.5 : heavy ? 4.0 : 2.0};
+    live.push_back(network.start_flow(path(), cap, heavy && !odd ? 2 : 1));
+  };
+  const auto stop_one = [&] {
+    const auto victim = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+    network.stop_flow(live[victim]);
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+  };
+
+  for (int k = 0; k < 6; ++k) start_one();
+  const std::size_t solves_before = network.reallocation_count();
+  for (int step = 0; step < 120; ++step) {
+    const std::int64_t op = rng.uniform_int(0, 9);
+    if (op <= 3) {
+      start_one();
+    } else if (op <= 5) {
+      if (!live.empty()) stop_one();
+    } else if (op == 6) {
+      now += rng.uniform(1.0, 12.0);
+      network.set_time(SimTime{now});
+    } else {
+      // One epoch: a clock move plus starts and stops, sometimes with a
+      // link flap or a cap edit mixed in.
+      const FluidNetwork::BatchGuard epoch = network.defer_reallocate();
+      now += rng.uniform(0.0, 3.0);
+      network.set_time(SimTime{now});
+      const std::int64_t burst = rng.uniform_int(1, 4);
+      for (std::int64_t i = 0; i < burst; ++i) {
+        if (live.empty() || rng.bernoulli(0.6)) {
+          start_one();
+        } else {
+          stop_one();
+        }
+      }
+      if (op == 8 && !live.empty()) {
+        network.set_flow_cap(live.front(), Mbps{rng.bernoulli(0.5) ? 2.0
+                                                                  : 3.0});
+      }
+      if (op == 9) {
+        const auto l = static_cast<std::size_t>(rng.uniform_int(0, 3));
+        network.set_link_up(fx.links[l], !network.link_up(fx.links[l]));
+      }
+    }
+    ++commits;
+    expect_matches_reference(network, fx.topo, fx.links, live);
+  }
+  // Both sides must have run: some commits solved in full, and some were
+  // answered by a fast path without a progressive filling.
+  const std::size_t solves = network.reallocation_count() - solves_before;
+  EXPECT_GT(solves, 0u);
+  EXPECT_LT(solves, commits);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FluidDifferential, ::testing::Range(0, 24));

@@ -178,8 +178,8 @@ TEST(ObjectPool, PtrReturnsToPoolAndChunksAmortize) {
     }
     EXPECT_EQ(live, 600);
     EXPECT_EQ(pool.live_count(), 600u);
-    // 600 objects at 256 per chunk = 3 chunks, not 600 allocations.
-    EXPECT_EQ(pool.chunk_count(), 3u);
+    // 600 objects at 64 per chunk = 10 chunks, not 600 allocations.
+    EXPECT_EQ(pool.chunk_count(), 10u);
   }
   EXPECT_EQ(live, 0);
   EXPECT_EQ(pool.live_count(), 0u);

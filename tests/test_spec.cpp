@@ -153,6 +153,60 @@ TEST(SpecParser, RejectsBadNumbers) {
       std::invalid_argument);
 }
 
+/// Parses `text` and requires an std::invalid_argument naming `line`.
+void expect_rejected_at(const std::string& text, int line) {
+  try {
+    parse_service_spec(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("line " + std::to_string(line)),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+// std::stod parses "nan" and "inf", and NaN fails every `<= 0` check, so
+// each numeric field must reject both explicitly, with its line number.
+TEST(SpecParser, RejectsNonFiniteCapacity) {
+  for (const char* bad : {"nan", "inf", "-inf"}) {
+    expect_rejected_at(std::string("node a\nnode b\nlink a b ") + bad + "\n",
+                       3);
+  }
+}
+
+TEST(SpecParser, RejectsNonFiniteDiskSize) {
+  for (const char* bad : {"nan", "inf"}) {
+    expect_rejected_at(
+        std::string("server_defaults disks=2 disk_mb=") + bad + "\n", 1);
+  }
+}
+
+TEST(SpecParser, RejectsNonFiniteClusterSize) {
+  for (const char* bad : {"nan", "inf"}) {
+    expect_rejected_at(std::string("\ncluster_mb ") + bad + "\n", 2);
+  }
+}
+
+TEST(SpecParser, RejectsNonFiniteSnmpInterval) {
+  for (const char* bad : {"nan", "inf"}) {
+    expect_rejected_at(std::string("snmp_interval ") + bad + "\n", 1);
+  }
+}
+
+TEST(SpecParser, RejectsNonFiniteVideoSize) {
+  for (const char* bad : {"nan", "inf"}) {
+    expect_rejected_at(
+        std::string("video \"x\" size_mb=") + bad + " bitrate=2\n", 1);
+  }
+}
+
+TEST(SpecParser, RejectsNonFiniteBitrate) {
+  for (const char* bad : {"nan", "inf"}) {
+    expect_rejected_at(
+        std::string("video \"x\" size_mb=700 bitrate=") + bad + "\n", 1);
+  }
+}
+
 TEST(SpecParser, RejectsMalformedKeyValue) {
   EXPECT_THROW(
       parse_service_spec("video \"x\" size=700 bitrate=2\n"),

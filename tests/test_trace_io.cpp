@@ -71,6 +71,24 @@ TEST(TraceIo, RejectsMalformedRows) {
       std::invalid_argument);  // quoting unsupported, rejected loudly
 }
 
+TEST(TraceIo, RejectsNonFiniteNumbers) {
+  // std::stod parses "nan"/"inf"; a NaN load used to pass the negative-
+  // load rule and abort the run mid-simulation.
+  const Topology topo = two_link_topology();
+  for (const char* row : {"a-b,0,nan", "a-b,0,inf", "a-b,nan,1",
+                          "a-b,inf,1"}) {
+    try {
+      load_trace_csv(std::string("link,time_s,used_mbps\na-b,-5,1\n") +
+                         row + "\n",
+                     topo);
+      ADD_FAILURE() << "accepted: " << row;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("line 3"), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(TraceIo, RejectsOutOfOrderTimes) {
   const Topology topo = two_link_topology();
   EXPECT_THROW(load_trace_csv(

@@ -64,6 +64,18 @@ TEST(TraceTraffic, SamplesMustIncreaseInTime) {
                std::invalid_argument);
 }
 
+TEST(TraceTraffic, RejectsNonFiniteSamples) {
+  TraceTraffic trace;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf}) {
+    EXPECT_THROW(trace.add_sample(LinkId{0}, SimTime{0.0}, Mbps{bad}),
+                 std::invalid_argument) << bad;
+    EXPECT_THROW(trace.add_sample(LinkId{0}, SimTime{bad}, Mbps{1.0}),
+                 std::invalid_argument) << bad;
+  }
+}
+
 TEST(TraceTraffic, RejectsNegativeLoad) {
   TraceTraffic trace;
   EXPECT_THROW(trace.add_sample(LinkId{0}, SimTime{0.0}, Mbps{-1.0}),
